@@ -8,7 +8,7 @@ certified error bound.  All rational fields on the wire are exact
 their tolerance.
 
 Exit codes: 0 success (and every check passed), 1 at least one identity
-check failed, 2 usage or parse errors.
+check failed, 2 usage, parse or file errors.
 """
 from __future__ import annotations
 
@@ -21,15 +21,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arith import format_rational, parse_rational
-from .distributions import parse_distribution
-from .errors import (
-    MissingDistribution,
-    MomentUnavailable,
-    NonPositiveEvaluationPoint,
-    ParseError,
-    UnknownIdentity,
-    UnsupportedDistribution,
-)
+from .distributions import format_distribution, parse_distribution
+from .errors import HeterobellError, MissingDistribution, ParseError
 from .hetero import (
     dobinski_details,
     hetero_bell_poly,
@@ -40,7 +33,6 @@ from .hetero import (
     prob_stirling2,
 )
 from .identities import IDENTITY_TAGS, load_grid_config, run_identities
-from .polynomial import Polynomial
 from .triangles import (
     bell_poly,
     deg_stirling1,
@@ -50,27 +42,24 @@ from .triangles import (
     stirling2,
 )
 
-TABLE_FAMILIES = (
-    "stirling2",
-    "stirling1u",
-    "lah",
-    "deg_stirling1",
-    "hetero",
-    "prob_stirling2",
-    "prob_lah",
-    "prob_hetero",
-)
-POLY_KINDS = ("bell", "lahbell", "hetero_bell", "prob_hetero_bell")
-
-_NEEDS_DIST = {"prob_stirling2", "prob_lah", "prob_hetero", "prob_hetero_bell"}
-
-
-def _rational_arg(text: str) -> Fraction:
-    return parse_rational(text)
-
-
-def _dist_arg(text: str):
-    return parse_distribution(text)
+# name -> (builder, needs_dist); a table builder gives entry (n, k), a
+# polynomial builder the whole polynomial of order n
+TABLES = {
+    "stirling2": (lambda n, k, lam, dist: stirling2(n, k), False),
+    "stirling1u": (lambda n, k, lam, dist: stirling1u(n, k), False),
+    "lah": (lambda n, k, lam, dist: lah(n, k), False),
+    "deg_stirling1": (lambda n, k, lam, dist: deg_stirling1(n, k, lam), False),
+    "hetero": (lambda n, k, lam, dist: hetero_stirling(n, k, lam), False),
+    "prob_stirling2": (lambda n, k, lam, dist: prob_stirling2(dist, n, k), True),
+    "prob_lah": (lambda n, k, lam, dist: prob_lah(dist, n, k), True),
+    "prob_hetero": (lambda n, k, lam, dist: prob_hetero_stirling(dist, n, k, lam), True),
+}
+POLYS = {
+    "bell": (lambda n, lam, dist: bell_poly(n), False),
+    "lahbell": (lambda n, lam, dist: lah_bell_poly(n), False),
+    "hetero_bell": (lambda n, lam, dist: hetero_bell_poly(n, lam), False),
+    "prob_hetero_bell": (lambda n, lam, dist: prob_hetero_bell_poly(dist, n, lam), True),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,22 +70,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="print a lower-triangular number table")
-    p_table.add_argument("family", choices=TABLE_FAMILIES)
+    p_table.add_argument("family", choices=TABLES)
     p_table.add_argument("--nmax", type=int, required=True)
-    p_table.add_argument("--lambda", dest="lam", type=_rational_arg, default=Fraction(0),
+    p_table.add_argument("--lambda", dest="lam", type=parse_rational, default=Fraction(0),
                          metavar="RAT", help="deformation parameter (rational, default 0)")
-    p_table.add_argument("--dist", type=_dist_arg, default=None,
+    p_table.add_argument("--dist", type=parse_distribution, default=None,
                          help="distribution, e.g. bernoulli:1/3 or finite:0:1/2,2:1/2")
     p_table.add_argument("--format", choices=("csv", "json"), default="json")
     p_table.add_argument("--out", default=None)
     p_table.set_defaults(func=cmd_table)
 
     p_poly = sub.add_parser("poly", help="print one polynomial's coefficients")
-    p_poly.add_argument("kind", choices=POLY_KINDS)
+    p_poly.add_argument("kind", choices=POLYS)
     p_poly.add_argument("--n", type=int, required=True)
-    p_poly.add_argument("--lambda", dest="lam", type=_rational_arg, default=Fraction(0),
+    p_poly.add_argument("--lambda", dest="lam", type=parse_rational, default=Fraction(0),
                         metavar="RAT")
-    p_poly.add_argument("--dist", type=_dist_arg, default=None)
+    p_poly.add_argument("--dist", type=parse_distribution, default=None)
     p_poly.add_argument("--format", choices=("csv", "json"), default="json")
     p_poly.add_argument("--out", default=None)
     p_poly.set_defaults(func=cmd_poly)
@@ -109,11 +98,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_dob = sub.add_parser("dobinski", help="series evaluation with certified error")
-    p_dob.add_argument("--dist", type=_dist_arg, required=True)
+    p_dob.add_argument("--dist", type=parse_distribution, required=True)
     p_dob.add_argument("--n", type=int, required=True)
-    p_dob.add_argument("--lambda", dest="lam", type=_rational_arg, default=Fraction(0),
+    p_dob.add_argument("--lambda", dest="lam", type=parse_rational, default=Fraction(0),
                        metavar="RAT")
-    p_dob.add_argument("--x", type=_rational_arg, required=True)
+    p_dob.add_argument("--x", type=parse_rational, required=True)
     p_dob.add_argument("--tol", type=float, default=1e-12)
     p_dob.add_argument("--out", default=None)
     p_dob.set_defaults(func=cmd_dobinski)
@@ -133,52 +122,28 @@ def _json_record(record: dict) -> str:
     return json.dumps(record, indent=2)
 
 
-def _table_entry(family: str, n: int, k: int, lam: Fraction, dist) -> Fraction:
-    if family == "stirling2":
-        return stirling2(n, k)
-    if family == "stirling1u":
-        return stirling1u(n, k)
-    if family == "lah":
-        return lah(n, k)
-    if family == "deg_stirling1":
-        return deg_stirling1(n, k, lam)
-    if family == "hetero":
-        return hetero_stirling(n, k, lam)
-    if family == "prob_stirling2":
-        return prob_stirling2(dist, n, k)
-    if family == "prob_lah":
-        return prob_lah(dist, n, k)
-    if family == "prob_hetero":
-        return prob_hetero_stirling(dist, n, k, lam)
-    raise AssertionError(family)
-
-
-def _require_dist(name: str, dist) -> None:
-    if name in _NEEDS_DIST and dist is None:
+def _builder(registry: dict, name: str, dist):
+    build, needs_dist = registry[name]
+    if needs_dist and dist is None:
         raise MissingDistribution(f"{name} needs --dist")
+    return build
 
 
 def _common_parameters(args, extra: dict) -> dict:
     params = {
         "lambda": format_rational(args.lam),
-        "dist": None if args.dist is None else _dist_str(args.dist),
+        "dist": None if args.dist is None else format_distribution(args.dist),
     }
     params.update(extra)
     return params
 
 
-def _dist_str(dist) -> str:
-    from .distributions import format_distribution
-
-    return format_distribution(dist)
-
-
 def cmd_table(args) -> int:
-    _require_dist(args.family, args.dist)
+    entry = _builder(TABLES, args.family, args.dist)
     if args.nmax < 0:
         raise ParseError("--nmax must be >= 0")
     rows = [
-        [_table_entry(args.family, n, k, args.lam, args.dist) for k in range(n + 1)]
+        [entry(n, k, args.lam, args.dist) for k in range(n + 1)]
         for n in range(args.nmax + 1)
     ]
     params = _common_parameters(args, {"family": args.family, "nmax": args.nmax,
@@ -199,23 +164,11 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _poly_for(kind: str, n: int, lam: Fraction, dist) -> Polynomial:
-    if kind == "bell":
-        return bell_poly(n)
-    if kind == "lahbell":
-        return lah_bell_poly(n)
-    if kind == "hetero_bell":
-        return hetero_bell_poly(n, lam)
-    if kind == "prob_hetero_bell":
-        return prob_hetero_bell_poly(dist, n, lam)
-    raise AssertionError(kind)
-
-
 def cmd_poly(args) -> int:
-    _require_dist(args.kind, args.dist)
+    build = _builder(POLYS, args.kind, args.dist)
     if args.n < 0:
         raise ParseError("--n must be >= 0")
-    poly = _poly_for(args.kind, args.n, args.lam, args.dist)
+    poly = build(args.n, args.lam, args.dist)
     coeffs = [poly.coeff(i) for i in range(args.n + 1)]
     params = _common_parameters(args, {"kind": args.kind, "n": args.n,
                                        "format": args.format})
@@ -238,13 +191,7 @@ def cmd_poly(args) -> int:
 
 def cmd_verify(args) -> int:
     ids = list(args.ids) or ["all"]
-    if ids == ["all"]:
-        tags = list(IDENTITY_TAGS)
-    else:
-        for tag in ids:
-            if tag not in IDENTITY_TAGS:
-                raise UnknownIdentity(f"no identity with tag {tag!r}")
-        tags = ids
+    tags = list(IDENTITY_TAGS) if ids == ["all"] else ids
     cfg = load_grid_config(args.config)
     reports = run_identities(tags, cfg)
     failed = [r for r in reports if not r.passed]
@@ -275,7 +222,7 @@ def cmd_dobinski(args) -> int:
     record = {
         "command": "dobinski",
         "parameters": {
-            "dist": _dist_str(args.dist),
+            "dist": format_distribution(args.dist),
             "n": args.n,
             "lambda": format_rational(args.lam),
             "x": format_rational(args.x),
@@ -293,20 +240,21 @@ def cmd_dobinski(args) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse takes a value such as '-1/2' for an option, so pass it as '--lambda=-1/2'
+    glued: list[str] = []
+    for arg in argv:
+        if glued and glued[-1] in ("--lambda", "--x") and arg[:1] == "-":
+            glued[-1] += "=" + arg
+        else:
+            glued.append(arg)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(glued)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        ParseError,
-        MissingDistribution,
-        UnknownIdentity,
-        MomentUnavailable,
-        UnsupportedDistribution,
-        NonPositiveEvaluationPoint,
-    ) as exc:
+    except (HeterobellError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

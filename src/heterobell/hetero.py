@@ -23,7 +23,7 @@ from .distributions import (
     sum_raw_moment,
     support_bound,
 )
-from .errors import NonPositiveEvaluationPoint, UnsupportedDistribution
+from .errors import NonPositiveEvaluationPoint, ParseError, UnsupportedDistribution
 from .polynomial import Polynomial
 from .triangles import partial_bell, stirling1u, stirling2
 
@@ -198,8 +198,8 @@ def dobinski_details(
     x = Fraction(x)
     if x <= 0:
         raise NonPositiveEvaluationPoint(f"evaluation point must be > 0, got {x}")
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
+    if not 0 < rel_tol < math.inf:
+        raise ParseError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     lam = Fraction(lam)
     spread = (n - 1) * abs(lam) if n >= 1 else Fraction(0)
     # stop once the truncation alone is well under rel_tol, leaving room

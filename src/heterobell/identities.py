@@ -9,6 +9,7 @@ live in a small versioned config file shipped with the package.
 from __future__ import annotations
 
 import configparser
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -24,7 +25,7 @@ from .distributions import (
     parse_distribution,
     sum_deg_rising_moment,
 )
-from .errors import UnknownIdentity
+from .errors import ParseError, UnknownIdentity
 from .hetero import (
     Route,
     hetero_bell_poly,
@@ -290,27 +291,75 @@ def _check_limits(dist, n: int):
 
 
 # ---------------------------------------------------------------------------
-# registry and public entry points
+# registry: tag -> (checker, grid axes)
+#
+# An axis is (name, values(section, point_so_far)), listed outermost first;
+# `section` is the tag's merged config section.
 
-_CHECKERS: dict[str, Callable] = {
-    "T2.2": _check_stirling_transform,
-    "T2.3": _check_lah_via_stirling,
-    "T2.4": _check_lah_lambda_free,
-    "T2.8": _check_order_split,
-    "T2.9": _check_poly_via_partial_bell,
-    "T2.10": _check_addition,
-    "T2.11": _check_numbers_partial_bell,
-    "T2.12": _check_shifted_sequence_bell,
-    "T2.13": _check_poly_sequence_bell,
-    "T2.16": _check_poisson_moment,
-    "T2.17": _check_poisson_poly,
-    "T2.18": _check_bernoulli_scaling,
-    "L2.19": _check_block_sum,
-    "T2.20": _check_bernoulli_moment,
-    "LIMITS": _check_limits,
+
+def _config_int(sec: dict, key: str) -> int:
+    try:
+        return int(sec[key])
+    except ValueError:
+        raise ParseError(f"{key} = {sec[key]!r} is not an integer") from None
+
+
+def _list(key: str, parse: Callable = parse_rational):
+    return lambda sec, pt: [parse(s.strip()) for s in sec[key].split(";") if s.strip()]
+
+
+def _count(key: str, low: int = 0):
+    return lambda sec, pt: range(low, _config_int(sec, key) + 1)
+
+
+_DIST = ("dist", _list("dists", parse_distribution))
+_LAM = ("lam", _list("lambdas"))
+_X = ("x", _list("xs"))
+_N = ("n", _count("nmax"))
+_K_UPTO_N = ("k", lambda sec, pt: range(pt["n"] + 1))
+
+_IDENTITIES: dict[str, tuple[Callable, tuple]] = {
+    "T2.2": (_check_stirling_transform, (_DIST, _LAM, _N, _K_UPTO_N)),
+    "T2.3": (_check_lah_via_stirling, (_DIST, _N, _K_UPTO_N)),
+    "T2.4": (
+        _check_lah_lambda_free,
+        (("lambdas", lambda sec, pt: [tuple(_list("lambdas")(sec, pt))]), _DIST, _N, _K_UPTO_N),
+    ),
+    "T2.8": (
+        _check_order_split,
+        (
+            _DIST,
+            _LAM,
+            ("t", _list("ts")),
+            ("n", _count("sum_max")),
+            ("m", lambda sec, pt: range(_config_int(sec, "sum_max") - pt["n"] + 1)),
+        ),
+    ),
+    "T2.9": (_check_poly_via_partial_bell, (_DIST, _LAM, _N)),
+    "T2.10": (_check_addition, (_DIST, _LAM, _N, _X, ("y", _list("ys")))),
+    "T2.11": (_check_numbers_partial_bell, (_DIST, _LAM, _N)),
+    "T2.12": (_check_shifted_sequence_bell, (_DIST, _LAM, _X, _N, _K_UPTO_N)),
+    "T2.13": (_check_poly_sequence_bell, (_DIST, _LAM, _X, _N, _K_UPTO_N)),
+    "T2.16": (
+        _check_poisson_moment,
+        (("alpha", _list("alphas")), _LAM, ("k", _count("kmax")), _N),
+    ),
+    "T2.17": (_check_poisson_poly, (("alpha", _list("alphas")), _LAM, _N)),
+    "T2.18": (_check_bernoulli_scaling, (("p", _list("ps")), _LAM, _N)),
+    "L2.19": (_check_block_sum, (_LAM, ("n", _count("nmax", 1)), ("k", _count("kmax", 1)))),
+    "T2.20": (_check_bernoulli_moment, (("p", _list("ps")), _LAM, ("k", _count("kmax")), _N)),
+    "LIMITS": (_check_limits, (_DIST, _N)),
 }
 
-IDENTITY_TAGS: tuple[str, ...] = tuple(_CHECKERS)
+IDENTITY_TAGS: tuple[str, ...] = tuple(_IDENTITIES)
+
+
+def _lookup(tag: str) -> tuple[Callable, tuple]:
+    try:
+        return _IDENTITIES[tag]
+    except KeyError:
+        raise UnknownIdentity(f"no identity with tag {tag!r}") from None
+
 
 _COERCERS = {
     "dist": _coerce_dist,
@@ -337,9 +386,7 @@ def _render_param(key: str, value) -> str:
 
 def verify_identity(tag: str, **params) -> IdentityReport:
     """Check one identity at one parameter point; both sides exact."""
-    checker = _CHECKERS.get(tag)
-    if checker is None:
-        raise UnknownIdentity(f"no identity with tag {tag!r}")
+    checker, _ = _lookup(tag)
     typed = {key: _COERCERS[key](value) for key, value in params.items()}
     passed, left, right, note = checker(**typed)
     shown = {key: _render_param(key, value) for key, value in typed.items()}
@@ -366,145 +413,45 @@ class GridConfig:
 
 
 def load_grid_config(path: str | None = None) -> GridConfig:
-    """Load the grid config; with no path, the copy shipped in the package."""
-    parser = configparser.ConfigParser()
-    if path is None:
-        text = (
-            resources.files("heterobell").joinpath("data", DEFAULT_GRID_RESOURCE).read_text()
-        )
-    else:
+    """Load the grid config shipped in the package, with the file at path laid over it.
+
+    Every key the file sets, in [defaults] or in a tag section, beats every
+    shipped key; keys it leaves out keep their shipped values.
+    """
+    texts = [resources.files("heterobell").joinpath("data", DEFAULT_GRID_RESOURCE).read_text()]
+    if path is not None:
         with open(path) as fh:
-            text = fh.read()
-    parser.read_string(text)
-    version = parser.get("meta", "version", fallback="0")
-    defaults = dict(parser["defaults"]) if parser.has_section("defaults") else {}
-    sections = {}
-    for tag in IDENTITY_TAGS:
-        merged = dict(defaults)
-        if parser.has_section(tag):
-            merged.update(parser[tag])
-        sections[tag] = merged
+            texts.append(fh.read())
+    layers = []
+    for text in texts:
+        parser = configparser.ConfigParser()
+        parser.read_string(text)
+        layers.append({name: dict(parser[name]) for name in parser.sections()})
+
+    def merged(*names: str) -> dict:
+        return {k: v for layer in layers for name in names for k, v in layer.get(name, {}).items()}
+
+    version = merged("meta").get("version", "0")
+    sections = {tag: merged("defaults", tag) for tag in IDENTITY_TAGS}
     return GridConfig(version=version, sections=sections)
 
 
-def _split_list(raw: str) -> list[str]:
-    return [piece.strip() for piece in raw.split(";") if piece.strip()]
-
-
-# used when a (possibly user-supplied) config leaves a list out entirely
-_LIST_FALLBACKS = {
-    "dists": "const:1; bernoulli:1/2; poisson:1",
-    "lambdas": "0; 1/2; 1",
-    "xs": "1/2; 1; 2",
-    "ys": "1/3; 1; 3",
-    "ts": "1/2; 1",
-    "alphas": "1; 2; 1/2",
-    "ps": "1/4; 1/3; 1",
-}
-
-
-def _grid_dists(sec: dict) -> list[Distribution]:
-    raw = sec.get("dists", _LIST_FALLBACKS["dists"])
-    return [parse_distribution(s) for s in _split_list(raw)]
-
-
-def _grid_rats(sec: dict, key: str) -> list[Fraction]:
-    raw = sec.get(key, _LIST_FALLBACKS[key])
-    return [parse_rational(s) for s in _split_list(raw)]
-
-
 def identity_grid(tag: str, cfg: GridConfig) -> list[dict]:
-    """Parameter dicts for one identity, in a fixed deterministic order."""
-    if tag not in _CHECKERS:
-        raise UnknownIdentity(f"no identity with tag {tag!r}")
+    """Parameter dicts for one identity, in a fixed deterministic order.
+
+    Points run over the product of the tag's axes, outermost first; each
+    point's keys follow the checker's parameter order.
+    """
+    checker, axes = _lookup(tag)
     sec = cfg.sections[tag]
-    nmax = int(sec.get("nmax", "6"))
-    points: list[dict] = []
-    if tag == "T2.2":
-        for d in _grid_dists(sec):
-            for lam in _grid_rats(sec, "lambdas"):
-                for n in range(nmax + 1):
-                    for k in range(n + 1):
-                        points.append({"dist": d, "n": n, "k": k, "lam": lam})
-    elif tag == "T2.3":
-        for d in _grid_dists(sec):
-            for n in range(nmax + 1):
-                for k in range(n + 1):
-                    points.append({"dist": d, "n": n, "k": k})
-    elif tag == "T2.4":
-        lambdas = tuple(_grid_rats(sec, "lambdas"))
-        for d in _grid_dists(sec):
-            for n in range(nmax + 1):
-                for k in range(n + 1):
-                    points.append({"dist": d, "n": n, "k": k, "lambdas": lambdas})
-    elif tag == "T2.8":
-        sum_max = int(sec.get("sum_max", "4"))
-        for d in _grid_dists(sec):
-            for lam in _grid_rats(sec, "lambdas"):
-                for t in _grid_rats(sec, "ts"):
-                    for n in range(sum_max + 1):
-                        for m in range(sum_max - n + 1):
-                            points.append(
-                                {"dist": d, "n": n, "m": m, "t": t, "lam": lam}
-                            )
-    elif tag in ("T2.9", "T2.11"):
-        for d in _grid_dists(sec):
-            for lam in _grid_rats(sec, "lambdas"):
-                for n in range(nmax + 1):
-                    points.append({"dist": d, "n": n, "lam": lam})
-    elif tag == "T2.10":
-        for d in _grid_dists(sec):
-            for lam in _grid_rats(sec, "lambdas"):
-                for n in range(nmax + 1):
-                    for x in _grid_rats(sec, "xs"):
-                        for y in _grid_rats(sec, "ys"):
-                            points.append(
-                                {"dist": d, "n": n, "lam": lam, "x": x, "y": y}
-                            )
-    elif tag in ("T2.12", "T2.13"):
-        for d in _grid_dists(sec):
-            for lam in _grid_rats(sec, "lambdas"):
-                for x in _grid_rats(sec, "xs"):
-                    for n in range(nmax + 1):
-                        for k in range(n + 1):
-                            points.append(
-                                {"dist": d, "n": n, "k": k, "lam": lam, "x": x}
-                            )
-    elif tag == "T2.16":
-        kmax = int(sec.get("kmax", "5"))
-        for alpha in _grid_rats(sec, "alphas"):
-            for lam in _grid_rats(sec, "lambdas"):
-                for k in range(kmax + 1):
-                    for n in range(nmax + 1):
-                        points.append({"alpha": alpha, "k": k, "n": n, "lam": lam})
-    elif tag == "T2.17":
-        for alpha in _grid_rats(sec, "alphas"):
-            for lam in _grid_rats(sec, "lambdas"):
-                for n in range(nmax + 1):
-                    points.append({"alpha": alpha, "n": n, "lam": lam})
-    elif tag == "T2.18":
-        for p in _grid_rats(sec, "ps"):
-            for lam in _grid_rats(sec, "lambdas"):
-                for n in range(nmax + 1):
-                    points.append({"p": p, "n": n, "lam": lam})
-    elif tag == "L2.19":
-        kmax = int(sec.get("kmax", "8"))
-        for lam in _grid_rats(sec, "lambdas"):
-            for n in range(1, nmax + 1):
-                for k in range(1, kmax + 1):
-                    points.append({"n": n, "k": k, "lam": lam})
-    elif tag == "T2.20":
-        kmax = int(sec.get("kmax", "6"))
-        for p in _grid_rats(sec, "ps"):
-            for lam in _grid_rats(sec, "lambdas"):
-                for k in range(kmax + 1):
-                    for n in range(nmax + 1):
-                        points.append({"p": p, "k": k, "n": n, "lam": lam})
-    elif tag == "LIMITS":
-        for d in _grid_dists(sec):
-            for n in range(nmax + 1):
-                points.append({"dist": d, "n": n})
-    return points
+    points: list[dict] = [{}]
+    try:
+        for name, values in axes:
+            points = [{**pt, name: v} for pt in points for v in values(sec, pt)]
+    except ParseError as exc:
+        raise ParseError(f"grid section [{tag}]: {exc}") from None
+    order = inspect.signature(checker).parameters
+    return [{key: pt[key] for key in order} for pt in points]
 
 
 def run_identity(tag: str, cfg: GridConfig | None = None) -> list[IdentityReport]:
@@ -522,8 +469,7 @@ def run_identities(
         cfg = load_grid_config()
     chosen = list(IDENTITY_TAGS) if tags is None else list(tags)
     for tag in chosen:
-        if tag not in _CHECKERS:
-            raise UnknownIdentity(f"no identity with tag {tag!r}")
+        _lookup(tag)
     reports: list[IdentityReport] = []
     for tag in chosen:
         reports.extend(run_identity(tag, cfg))

@@ -230,3 +230,54 @@ def test_json_rows_match_library_exactly(capsys):
             hetero_stirling(n, k, Fraction(5, 2)) for k in range(n + 1)
         ]
     assert [Fraction(v) for v in record["rows"][0]] == [stirling2(0, 0)]
+
+
+def test_negative_lambda_is_read_as_a_value(capsys):
+    code, out, err = run_cli(capsys, "table", "hetero", "--nmax", "2", "--lambda", "-1/2")
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    assert record["parameters"]["lambda"] == "-1/2"
+    assert [[Fraction(v) for v in row] for row in record["rows"]] == [
+        [hetero_stirling(n, k, Fraction(-1, 2)) for k in range(n + 1)] for n in range(3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "prob_stirling2", "--nmax", "2"),
+        ("table", "prob_lah", "--nmax", "2"),
+        ("table", "prob_hetero", "--nmax", "2"),
+        ("poly", "prob_hetero_bell", "--n", "2"),
+    ],
+)
+def test_missing_dist_names_the_flag(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--dist" in err
+
+
+DOBINSKI = ("dobinski", "--dist", "bernoulli:1/2", "--n", "3", "--x", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (("verify", "--config", "{tmp}/missing.cfg"), "missing.cfg"),
+        (("verify", "T2.3", "--config", "{tmp}/bad.cfg"), "[T2.3]: nmax = 'abc'"),
+        (("table", "lah", "--nmax", "2", "--out", "{tmp}/no/such/dir/rows.json"), "rows.json"),
+        (DOBINSKI + ("--tol", "0"), "rel_tol"),
+        (DOBINSKI + ("--tol", "nan"), "rel_tol"),
+        (DOBINSKI + ("--tol", "inf"), "rel_tol"),
+    ],
+    ids=["missing-config", "non-integer-nmax", "out-dir-missing", "tol-0", "tol-nan", "tol-inf"],
+)
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv, needle):
+    (tmp_path / "bad.cfg").write_text("[defaults]\nnmax = abc\n")
+    code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert needle in err

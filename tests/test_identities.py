@@ -5,6 +5,7 @@ import pytest
 from heterobell import (
     IDENTITY_TAGS,
     UnknownIdentity,
+    format_distribution,
     run_identities,
     run_identity,
     verify_identity,
@@ -132,3 +133,66 @@ def test_grid_config_is_frozen_dataclass():
     assert isinstance(cfg, GridConfig)
     with pytest.raises(AttributeError):
         cfg.version = "2"
+
+
+# shipped grid: (point count, first point, last point) per tag, keys in order
+SHIPPED_GRID = {
+    "T2.2": (1080, "dist=const:1 n=0 k=0 lam=0", "dist=finite:0:1/2,2:1/2 n=8 k=8 lam=5/2"),
+    "T2.3": (135, "dist=const:1 n=0 k=0", "dist=poisson:1 n=8 k=8"),
+    "T2.4": (
+        135,
+        "dist=const:1 n=0 k=0 lambdas=0,1/3,1/2,1,2",
+        "dist=poisson:1 n=8 k=8 lambdas=0,1/3,1/2,1,2",
+    ),
+    "T2.8": (270, "dist=const:1 n=0 m=0 t=1/2 lam=0", "dist=poisson:1 n=4 m=0 t=1 lam=1"),
+    "T2.9": (81, "dist=const:1 n=0 lam=0", "dist=poisson:1 n=8 lam=1"),
+    "T2.10": (729, "dist=const:1 n=0 lam=0 x=1/2 y=1/3", "dist=poisson:1 n=8 lam=1 x=2 y=3"),
+    "T2.11": (81, "dist=const:1 n=0 lam=0", "dist=poisson:1 n=8 lam=1"),
+    "T2.12": (1215, "dist=const:1 n=0 k=0 lam=0 x=1/2", "dist=poisson:1 n=8 k=8 lam=1 x=2"),
+    "T2.13": (1215, "dist=const:1 n=0 k=0 lam=0 x=1/2", "dist=poisson:1 n=8 k=8 lam=1 x=2"),
+    "T2.16": (486, "alpha=1 k=0 n=0 lam=0", "alpha=1/2 k=5 n=8 lam=1"),
+    "T2.17": (81, "alpha=1 n=0 lam=0", "alpha=1/2 n=8 lam=1"),
+    "T2.18": (108, "p=1/4 n=0 lam=0", "p=1 n=8 lam=3"),
+    "L2.19": (256, "n=1 k=1 lam=0", "n=8 k=8 lam=3"),
+    "T2.20": (756, "p=1/4 k=0 n=0 lam=0", "p=1 k=6 n=8 lam=3"),
+    "LIMITS": (27, "dist=const:1 n=0", "dist=poisson:1 n=8"),
+}
+
+
+def _shown(point: dict) -> str:
+    def text(key, value):
+        if key == "dist":
+            return format_distribution(value)
+        if key == "lambdas":
+            return ",".join(str(q) for q in value)
+        return str(value)
+
+    return " ".join(f"{key}={text(key, value)}" for key, value in point.items())
+
+
+@pytest.mark.parametrize("tag", list(SHIPPED_GRID))
+def test_shipped_grid_is_pinned(tag):
+    count, first, last = SHIPPED_GRID[tag]
+    pts = identity_grid(tag, load_grid_config())
+    assert (len(pts), _shown(pts[0]), _shown(pts[-1])) == (count, first, last)
+
+
+def test_shipped_grid_covers_every_tag_with_6655_points():
+    assert list(SHIPPED_GRID) == list(IDENTITY_TAGS)
+    assert sum(count for count, _, _ in SHIPPED_GRID.values()) == 6655
+
+
+def test_user_config_is_laid_over_shipped_grid(tmp_path):
+    cfg_file = tmp_path / "partial.cfg"
+    cfg_file.write_text("[meta]\nversion = 3\n[defaults]\nnmax = 2\n")
+    cfg = load_grid_config(str(cfg_file))
+    assert cfg.version == "3"
+    # 6 laws x 4 lambdas from the shipped [T2.2], 6 (n, k) pairs from nmax = 2
+    assert len(identity_grid("T2.2", cfg)) == 144
+    # a user [defaults] key beats the shipped tag section's key
+    cfg_file.write_text("[defaults]\nlambdas = 1/2\n")
+    cfg = load_grid_config(str(cfg_file))
+    assert cfg.version == "1"
+    pts = identity_grid("T2.2", cfg)
+    assert {p["lam"] for p in pts} == {HALF}
+    assert len(pts) == 6 * 45
