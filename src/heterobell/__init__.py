@@ -13,9 +13,7 @@ from .arith import (
     binomial,
     deg_rising_factorial,
     factorial,
-    falling_factorial,
     format_rational,
-    gen_binomial,
     multinomial,
     parse_rational,
 )
@@ -24,7 +22,6 @@ from .distributions import (
     Constant,
     Distribution,
     FiniteSupport,
-    MomentCache,
     MomentList,
     Poisson,
     deg_rising_moment,
@@ -51,7 +48,6 @@ from .hetero import (
     Route,
     SeriesEvaluation,
     dobinski_details,
-    dobinski_eval,
     hetero_bell_poly,
     hetero_derivative,
     hetero_stirling,
@@ -72,7 +68,6 @@ from .identities import (
 from .iid import SymPoly, compositions, expect, order_split_rhs, shifted_product_term
 from .polynomial import Polynomial, deg_rising_poly
 from .triangles import (
-    Triangle,
     bell_poly,
     complete_bell,
     deg_stirling1,

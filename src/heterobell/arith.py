@@ -48,20 +48,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def gen_binomial(a: RationalLike, m: int) -> Fraction:
-    """Generalized binomial coefficient C(a, m) = a(a-1)...(a-m+1)/m!.
-
-    a may be any rational; m must be a nonnegative integer.
-    """
-    if m < 0:
-        raise ValueError("gen_binomial needs m >= 0")
-    a = Fraction(a)
-    num = Fraction(1)
-    for i in range(m):
-        num *= a - i
-    return num / math.factorial(m)
-
-
 def multinomial(n: int, parts: Sequence[int]) -> int:
     """n! / (parts[0]! * parts[1]! * ...); parts must be >= 0 and sum to n."""
     if n < 0 or any(p < 0 for p in parts):
@@ -86,15 +72,4 @@ def deg_rising_factorial(x: RationalLike, n: int, lam: RationalLike) -> Fraction
     out = Fraction(1)
     for i in range(n):
         out *= x + i * lam
-    return out
-
-
-def falling_factorial(x: RationalLike, n: int) -> Fraction:
-    """x(x-1)...(x-n+1)."""
-    if n < 0:
-        raise ValueError("falling_factorial needs n >= 0")
-    x = Fraction(x)
-    out = Fraction(1)
-    for i in range(n):
-        out *= x - i
     return out

@@ -107,57 +107,37 @@ def raw_moment(d: Distribution, n: int) -> Fraction:
     raise TypeError(f"not a distribution: {d!r}")
 
 
-class MomentCache:
-    """Per-distribution memo of partial-sum power moments E[S_k**n]."""
-
-    def __init__(self, dist: Distribution):
-        self.dist = dist
-        self._memo: dict[tuple[int, int], Fraction] = {}
-        self._lock = threading.Lock()
-
-    def sum_power(self, k: int, n: int) -> Fraction:
-        if k < 0 or n < 0:
-            raise ValueError("indices must be >= 0")
-        key = (k, n)
-        got = self._memo.get(key)
-        if got is not None:
-            return got
-        with self._lock:
-            return self._sum_power_locked(k, n)
-
-    def _sum_power_locked(self, k: int, n: int) -> Fraction:
-        memo = self._memo
-        for kk in range(k + 1):
-            for nn in range(n + 1):
-                if (kk, nn) in memo:
-                    continue
-                if kk == 0:
-                    val = Fraction(1) if nn == 0 else Fraction(0)
-                else:
-                    # split off the last summand and convolve
-                    val = sum(
-                        (
-                            binomial(nn, i) * raw_moment(self.dist, i) * memo[(kk - 1, nn - i)]
-                            for i in range(nn + 1)
-                        ),
-                        Fraction(0),
-                    )
-                memo[(kk, nn)] = val
-        return memo[(k, n)]
-
-
-_caches: dict[Distribution, MomentCache] = {}
-_caches_lock = threading.Lock()
-
-
-def moment_cache(d: Distribution) -> MomentCache:
-    with _caches_lock:
-        return _caches.setdefault(d, MomentCache(d))
+# law -> rows k = 0, 1, ... of E[S_k**n] for n = 0, 1, ...; lists only ever grow
+_SUM_MOMENTS: dict[Distribution, list[list[Fraction]]] = {}
+_SUM_MOMENTS_LOCK = threading.Lock()
 
 
 def sum_raw_moment(d: Distribution, k: int, n: int) -> Fraction:
-    """E[S_k**n] for S_k the sum of k i.i.d. copies of Y."""
-    return moment_cache(d).sum_power(k, n)
+    """E[S_k**n] for S_k the sum of k i.i.d. copies of Y.
+
+    Row k is the binomial convolution of row k-1 with the raw moments of Y
+    (split off the last summand); a miss fills only the missing entries.
+    """
+    if k < 0 or n < 0:
+        raise ValueError("indices must be >= 0")
+    rows = _SUM_MOMENTS.get(d)
+    if rows is not None and k < len(rows) and n < len(rows[k]):
+        return rows[k][n]
+    with _SUM_MOMENTS_LOCK:
+        rows = _SUM_MOMENTS.setdefault(d, [])
+        for kk in range(k + 1):
+            if kk == len(rows):
+                rows.append([])
+            row = rows[kk]
+            while len(row) <= n:
+                nn = len(row)
+                if kk == 0:
+                    row.append(Fraction(1) if nn == 0 else Fraction(0))
+                else:
+                    prev = rows[kk - 1]
+                    terms = (binomial(nn, i) * raw_moment(d, i) * prev[nn - i] for i in range(nn + 1))
+                    row.append(sum(terms, Fraction(0)))
+        return rows[k][n]
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,6 @@ from .distributions import (
     Bernoulli,
     Distribution,
     Poisson,
-    deg_rising_moment,
     format_distribution,
     parse_distribution,
     sum_deg_rising_moment,
@@ -37,15 +36,7 @@ from .hetero import (
 )
 from .iid import order_split_rhs
 from .polynomial import Polynomial
-from .triangles import (
-    deg_stirling1,
-    lah,
-    lah_bell_poly,
-    partial_bell,
-    bell_poly,
-    stirling1u,
-    stirling2,
-)
+from .triangles import bell_poly, deg_stirling1, partial_bell, stirling1u, stirling2
 
 
 @dataclass
@@ -143,22 +134,9 @@ def _check_order_split(dist, n: int, m: int, t: Fraction, lam: Fraction):
     return ok, left, right, None if ok else _SPLIT_NOTE
 
 
-def _moment_bell_row(dist, n: int, lam: Fraction) -> list[Fraction]:
-    out = []
-    for k in range(n + 1):
-        if n == 0 and k == 0:
-            out.append(Fraction(1))
-        elif k == 0:
-            out.append(Fraction(0))
-        else:
-            moments = [deg_rising_moment(dist, m, lam) for m in range(1, n - k + 2)]
-            out.append(partial_bell(n, k, moments))
-    return out
-
-
 def _check_poly_via_partial_bell(dist, n: int, lam: Fraction):
     left = prob_hetero_bell_poly(dist, n, lam)
-    right = Polynomial(_moment_bell_row(dist, n, lam))
+    right = prob_hetero_bell_poly(dist, n, lam, Route.PARTIAL_BELL)
     return left == right, left, right, None
 
 
@@ -269,20 +247,35 @@ def _check_bernoulli_moment(p: Fraction, k: int, n: int, lam: Fraction):
     return left == right, left, right, None
 
 
+def _hetero_explicit(n: int, k: int, lam: Fraction) -> Fraction:
+    # the paper's explicit formula, (1/k!) sum_j (-1)**(k-j) C(k, j) <j>_{n,lam};
+    # the library reads the same numbers from a row recurrence instead
+    acc = Fraction(0)
+    for j in range(k + 1):
+        acc += (-1) ** (k - j) * binomial(k, j) * deg_rising_factorial(j, n, lam)
+    return acc / factorial(k)
+
+
 def _check_limits(dist, n: int):
     left: list = []
     right: list = []
     for k in range(n + 1):
         left += [hetero_stirling(n, k, Fraction(0)), hetero_stirling(n, k, Fraction(1))]
-        right += [stirling2(n, k), lah(n, k)]
+        right += [_hetero_explicit(n, k, Fraction(0)), _hetero_explicit(n, k, Fraction(1))]
+        # PARTIAL_BELL, since DIRECT at lam = 1 is the very sum prob_lah runs
         left += [
-            prob_hetero_stirling(dist, n, k, Fraction(0)),
-            prob_hetero_stirling(dist, n, k, Fraction(1)),
+            prob_hetero_stirling(dist, n, k, Fraction(0), Route.PARTIAL_BELL),
+            prob_hetero_stirling(dist, n, k, Fraction(1), Route.PARTIAL_BELL),
         ]
         right += [prob_stirling2(dist, n, k), prob_lah(dist, n, k)]
     left += [hetero_bell_poly(n, 0), hetero_bell_poly(n, 1)]
-    right += [bell_poly(n), lah_bell_poly(n)]
-    left += [prob_hetero_bell_poly(dist, n, 0), prob_hetero_bell_poly(dist, n, 1)]
+    right += [
+        Polynomial(_hetero_explicit(n, k, Fraction(lam)) for k in range(n + 1)) for lam in (0, 1)
+    ]
+    left += [
+        prob_hetero_bell_poly(dist, n, 0, Route.PARTIAL_BELL),
+        prob_hetero_bell_poly(dist, n, 1, Route.PARTIAL_BELL),
+    ]
     right += [
         Polynomial(prob_stirling2(dist, n, k) for k in range(n + 1)),
         Polynomial(prob_lah(dist, n, k) for k in range(n + 1)),
@@ -418,15 +411,19 @@ def load_grid_config(path: str | None = None) -> GridConfig:
     Every key the file sets, in [defaults] or in a tag section, beats every
     shipped key; keys it leaves out keep their shipped values.
     """
-    texts = [resources.files("heterobell").joinpath("data", DEFAULT_GRID_RESOURCE).read_text()]
+    shipped = resources.files("heterobell").joinpath("data", DEFAULT_GRID_RESOURCE)
+    sources = [(DEFAULT_GRID_RESOURCE, shipped.read_text())]
     if path is not None:
         with open(path) as fh:
-            texts.append(fh.read())
+            sources.append((path, fh.read()))
     layers = []
-    for text in texts:
+    for source, text in sources:
         parser = configparser.ConfigParser()
-        parser.read_string(text)
-        layers.append({name: dict(parser[name]) for name in parser.sections()})
+        try:
+            parser.read_string(text, source=source)
+            layers.append({name: dict(parser[name]) for name in parser.sections()})
+        except configparser.Error as exc:
+            raise ParseError(f"{source}: {' '.join(str(exc).splitlines())}") from None
 
     def merged(*names: str) -> dict:
         return {k: v for layer in layers for name in names for k, v in layer.get(name, {}).items()}
@@ -450,6 +447,8 @@ def identity_grid(tag: str, cfg: GridConfig) -> list[dict]:
             points = [{**pt, name: v} for pt in points for v in values(sec, pt)]
     except ParseError as exc:
         raise ParseError(f"grid section [{tag}]: {exc}") from None
+    if not points:
+        raise ParseError(f"grid section [{tag}] has no points")
     order = inspect.signature(checker).parameters
     return [{key: pt[key] for key in order} for pt in points]
 

@@ -36,16 +36,6 @@ class Polynomial:
     def x(cls) -> "Polynomial":
         return cls((0, 1))
 
-    @classmethod
-    def constant(cls, c: RationalLike) -> "Polynomial":
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, power: int, coeff: RationalLike = 1) -> "Polynomial":
-        if power < 0:
-            raise ValueError("power must be >= 0")
-        return cls((0,) * power + (coeff,))
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -118,14 +108,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Polynomial.one()
-        for _ in range(exponent):
-            out = out * self
-        return out
-
     # -- analysis ----------------------------------------------------------
 
     def __call__(self, point: RationalLike) -> Fraction:
@@ -143,21 +125,10 @@ class Polynomial:
             p = Polynomial(i * c for i, c in enumerate(p._coeffs) if i > 0)
         return p
 
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        """self(inner(x)), expanded."""
-        acc = Polynomial()
-        for c in reversed(self._coeffs):
-            acc = acc * inner + Polynomial.constant(c)
-        return acc
-
     def scale_arg(self, a: RationalLike) -> "Polynomial":
         """self(a*x): coefficient i picks up a**i."""
         a = Fraction(a)
         return Polynomial(c * a**i for i, c in enumerate(self._coeffs))
-
-    def shift_arg(self, c: RationalLike) -> "Polynomial":
-        """self(x + c)."""
-        return self.compose(Polynomial((c, 1)))
 
 
 @lru_cache(maxsize=None)

@@ -1,161 +1,91 @@
 """Classical combinatorial triangles and Bell polynomial machinery.
 
-Triangles are grown lazily, one row at a time, and cached for the life of
-the process.  All entries are exact rationals (the classical families are
-in fact integers, kept as Fraction for uniformity of the table type).
+The five deterministic triangles obey one two-term recurrence,
+
+    T(0, 0) = 1,    T(m+1, k) = T(m, k-1) + (a*m + b*k) * T(m, k),
+
+with weights (a, b) = (0, 1) for stirling2, (1, 0) for stirling1u, (1, 1)
+for lah, (lam, 1) for the heterogeneous numbers and (1, -lam) for
+deg_stirling1.  One memo holds the rows of each weight pair, grown a row at
+a time and kept for the life of the process.  With q the least common
+denominator of a and b, the rows are stored as the integers q**n * T(n, k),
+so the recurrence never builds a Fraction; the classical families (q = 1)
+hold their entries as int, the lam families return Fraction.
 """
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .arith import RationalLike, binomial, factorial
+from .arith import RationalLike, factorial
 from .errors import InsufficientSequence
 from .polynomial import Polynomial
 
-RowBuilder = Callable[[int, "Sequence[Fraction] | None"], "list[Fraction]"]
+# (q*a, q*b, q) -> rows 0, 1, ... of q**n * T(n, k); lists only ever grow
+_ROWS: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
+_ROWS_LOCK = threading.Lock()
 
 
-class Triangle:
-    """Lazily extended lower-triangular table (n, k) -> Fraction.
+def _row(a: int, b: int, q: int, n: int) -> tuple[int, ...]:
+    """Row n of the triangle with weights (a/q, b/q), scaled by q**n.
 
-    Rows are append-only, so values handed out never change.  Extension is
-    serialized by a lock; concurrent readers are safe.
+    Scaled, the recurrence reads U(m+1, k) = q*U(m, k-1) + (a*m + b*k)*U(m, k).
+    Rows are appended in a loop, never by recursion, so any n works.
     """
-
-    def __init__(self, family: str, row_builder: RowBuilder):
-        self.family = family
-        self._row_builder = row_builder
-        self._rows: list[tuple[Fraction, ...]] = []
-        self._lock = threading.Lock()
-
-    def _ensure(self, n: int) -> None:
-        if len(self._rows) > n:
-            return
-        with self._lock:
-            while len(self._rows) <= n:
-                m = len(self._rows)
-                prev = self._rows[m - 1] if m else None
-                row = tuple(self._row_builder(m, prev))
-                if len(row) != m + 1:
-                    raise AssertionError(f"row builder for {self.family} returned wrong length")
-                self._rows.append(row)
-
-    def value(self, n: int, k: int) -> Fraction:
-        if n < 0 or k < 0:
-            raise ValueError("triangle indices must be >= 0")
-        if k > n:
-            return Fraction(0)
-        self._ensure(n)
-        return self._rows[n][k]
-
-    def row(self, n: int) -> tuple[Fraction, ...]:
-        if n < 0:
-            raise ValueError("triangle indices must be >= 0")
-        self._ensure(n)
-        return self._rows[n]
+    if n < 0:
+        raise ValueError("triangle indices must be >= 0")
+    rows = _ROWS.get((a, b, q))
+    if rows is None or len(rows) <= n:
+        with _ROWS_LOCK:
+            rows = _ROWS.setdefault((a, b, q), [(1,)])
+            while len(rows) <= n:
+                m = len(rows) - 1
+                row = [0] * (m + 2)
+                for k, v in enumerate(rows[m]):
+                    row[k] += (a * m + b * k) * v
+                    row[k + 1] += q * v
+                rows.append(tuple(row))
+    return rows[n]
 
 
-def _stirling2_row(n: int, prev) -> list[Fraction]:
-    # alternating-sum formula; 0**0 == 1 makes the (0, 0) entry right
-    out = []
-    for k in range(n + 1):
-        acc = 0
-        for j in range(k + 1):
-            acc += (-1) ** (k - j) * binomial(k, j) * j**n
-        out.append(Fraction(acc, factorial(k)))
-    return out
+def _entry(a: int, b: int, q: int, n: int, k: int) -> int:
+    if n < 0 or k < 0:
+        raise ValueError("triangle indices must be >= 0")
+    return _row(a, b, q, n)[k] if k <= n else 0
 
 
-def _stirling1u_row(n: int, prev) -> list[Fraction]:
-    if n == 0:
-        return [Fraction(1)]
-    out = []
-    for k in range(n + 1):
-        left = prev[k - 1] if k >= 1 else Fraction(0)
-        right = prev[k] if k <= n - 1 else Fraction(0)
-        out.append(left + (n - 1) * right)
-    return out
+def triangle_entry(a: RationalLike, b: RationalLike, n: int, k: int) -> Fraction:
+    """Entry (n, k) of the triangle with rational weights (a, b)."""
+    a, b = Fraction(a), Fraction(b)
+    q = math.lcm(a.denominator, b.denominator)
+    return Fraction(_entry(int(a * q), int(b * q), q, n, k), q**n)
 
 
-def _lah_row(n: int, prev) -> list[Fraction]:
-    if n == 0:
-        return [Fraction(1)]
-    out = [Fraction(0)]
-    for k in range(1, n + 1):
-        out.append(Fraction(factorial(n), factorial(k)) * binomial(n - 1, k - 1))
-    return out
-
-
-_STIRLING2 = Triangle("stirling2", _stirling2_row)
-_STIRLING1U = Triangle("stirling1u", _stirling1u_row)
-_LAH = Triangle("lah", _lah_row)
-
-
-def stirling2(n: int, k: int) -> Fraction:
+def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind (set partitions into k blocks)."""
-    return _STIRLING2.value(n, k)
+    return _entry(0, 1, 1, n, k)
 
 
-def stirling1u(n: int, k: int) -> Fraction:
+def stirling1u(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind (permutations with k cycles)."""
-    return _STIRLING1U.value(n, k)
+    return _entry(1, 0, 1, n, k)
 
 
-def lah(n: int, k: int) -> Fraction:
+def lah(n: int, k: int) -> int:
     """Lah number (ordered set partitions into k lists)."""
-    return _LAH.value(n, k)
-
-
-@lru_cache(maxsize=None)
-def _deg_log_series(lam: Fraction, order: int) -> tuple[Fraction, ...]:
-    """Coefficients c[0..order] of (1 - (1-t)**lam)/lam.
-
-    The 1/lam is cancelled against the product form of the generalized
-    binomial coefficient, so lam = 0 is a regular point (giving the
-    classical series for -log(1-t), coefficients 1/m).
-    """
-    coeffs = [Fraction(0)]
-    prod = Fraction(1)  # (lam-1)(lam-2)...(lam-(m-1))
-    for m in range(1, order + 1):
-        coeffs.append((-1) ** (m + 1) * prod / factorial(m))
-        prod *= lam - m
-    return tuple(coeffs)
-
-
-@lru_cache(maxsize=None)
-def _deg_stirling1_row(n: int, lam: Fraction) -> tuple[Fraction, ...]:
-    c = _deg_log_series(lam, n)
-    # truncated powers of the series; entry k reads off t**n of series**k / k!
-    row = []
-    power = [Fraction(0)] * (n + 1)
-    power[0] = Fraction(1)
-    for k in range(n + 1):
-        row.append(power[n] * factorial(n) / factorial(k))
-        nxt = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            if power[i] == 0:
-                continue
-            for m in range(1, n + 1 - i):
-                nxt[i + m] += power[i] * c[m]
-        power = nxt
-    return tuple(row)
+    return _entry(1, 1, 1, n, k)
 
 
 def deg_stirling1(n: int, k: int, lam: RationalLike) -> Fraction:
     """Degenerate unsigned Stirling number of the first kind.
 
-    Coefficient n! [t**n] of (1/k!) ((1 - (1-t)**lam)/lam)**k.  At lam = 0
-    this reduces to stirling1u; at lam = 1 the series collapses to t and
-    the triangle becomes the identity.
+    Coefficient n! [t**n] of (1/k!) ((1 - (1-t)**lam)/lam)**k, read from
+    the (1, -lam) triangle: S(n+1, k) = S(n, k-1) + (n - k*lam) S(n, k).
+    At lam = 0 this is stirling1u; at lam = 1 the triangle is the identity.
     """
-    if n < 0 or k < 0:
-        raise ValueError("triangle indices must be >= 0")
-    if k > n:
-        return Fraction(0)
-    return _deg_stirling1_row(n, Fraction(lam))[k]
+    return triangle_entry(1, -Fraction(lam), n, k)
 
 
 def partial_bell(n: int, k: int, xs: Sequence[RationalLike]) -> Fraction:
@@ -206,9 +136,9 @@ def complete_bell(n: int, xs: Sequence[RationalLike]) -> Fraction:
 
 def bell_poly(n: int) -> Polynomial:
     """Bell (Touchard) polynomial: coefficients are the stirling2 row."""
-    return Polynomial(_STIRLING2.row(n))
+    return Polynomial(_row(0, 1, 1, n))
 
 
 def lah_bell_poly(n: int) -> Polynomial:
     """Lah-Bell polynomial: coefficients are the Lah row."""
-    return Polynomial(_LAH.row(n))
+    return Polynomial(_row(1, 1, 1, n))

@@ -1,9 +1,13 @@
 """Independent reference implementations used only by the tests.
 
-Deliberately different algorithms from the package under test: recurrences
-instead of alternating sums, brute-force enumeration instead of cached
+Deliberately different algorithms from the package under test: the
+paper's alternating sums and partial Bell polynomials where the package
+runs its row recurrence, brute-force enumeration instead of cached
 convolution, explicit division instead of cancelled factors.  A bug would
-have to appear in two unrelated derivations to slip through.
+have to appear in two unrelated derivations to slip through.  The
+exceptions are stirling2_rec and stirling1u_rec, which run the package's
+recurrence top-down; the benchmark reads them, and stirling2_explicit is
+the independent check of stirling2.
 """
 from __future__ import annotations
 
@@ -50,6 +54,12 @@ def lah_closed(n: int, k: int) -> int:
     return math.factorial(n) * math.comb(n - 1, k - 1) // math.factorial(k)
 
 
+def stirling2_explicit(n: int, k: int) -> Fraction:
+    """Second-kind Stirling by the alternating sum (1/k!) sum_j (-1)**(k-j) C(k,j) j**n."""
+    acc = sum((-1) ** (k - j) * math.comb(k, j) * j**n for j in range(k + 1))
+    return Fraction(acc, math.factorial(k))
+
+
 def partial_bell_rec(n: int, k: int, xs) -> Fraction:
     """B_{n,k} through the top-element recurrence, not the multi-index sum."""
     if n == 0 and k == 0:
@@ -75,6 +85,15 @@ def hetero_via_bell(n: int, k: int, lam) -> Fraction:
     """Heterogeneous Stirling as a partial Bell polynomial of <1>_{m,lam}."""
     xs = [rising(1, m, lam) for m in range(1, n - k + 2)] if k else []
     return partial_bell_rec(n, k, xs)
+
+
+def hetero_explicit(n: int, k: int, lam) -> Fraction:
+    """Heterogeneous Stirling by the paper's alternating sum of <j>_{n,lam}."""
+    acc = sum(
+        ((-1) ** (k - j) * math.comb(k, j) * rising(j, n, lam) for j in range(k + 1)),
+        Fraction(0),
+    )
+    return acc / math.factorial(k)
 
 
 def deg_stirling1_div(n: int, k: int, lam) -> Fraction:

@@ -9,9 +9,7 @@ from heterobell import (
     binomial,
     deg_rising_factorial,
     factorial,
-    falling_factorial,
     format_rational,
-    gen_binomial,
     multinomial,
     parse_rational,
 )
@@ -54,21 +52,6 @@ def test_binomial_negative_k_raises():
         binomial(5, -1)
 
 
-def test_gen_binomial_integer_arg_agrees_with_comb():
-    for n in range(8):
-        for k in range(8):
-            assert gen_binomial(Fraction(n), k) == math.comb(n, k)
-
-
-def test_gen_binomial_fractional_arg():
-    # C(1/2, 2) = (1/2)(-1/2)/2 = -1/8
-    assert gen_binomial(Fraction(1, 2), 2) == Fraction(-1, 8)
-    assert gen_binomial(Fraction(-1), 3) == -1
-    assert gen_binomial(Fraction(1, 3), 0) == 1
-    with pytest.raises(ValueError):
-        gen_binomial(Fraction(1, 3), -2)
-
-
 def test_multinomial():
     assert multinomial(5, (2, 3)) == 10
     assert multinomial(6, (1, 2, 3)) == 60
@@ -89,8 +72,3 @@ def test_deg_rising_factorial_limits():
     assert deg_rising_factorial(Fraction(3), 4, Fraction(0)) == 3**4
     assert deg_rising_factorial(Fraction(3), 4, Fraction(1)) == 3 * 4 * 5 * 6
 
-
-def test_falling_factorial():
-    assert falling_factorial(Fraction(5), 3) == 5 * 4 * 3
-    assert falling_factorial(Fraction(1, 2), 2) == Fraction(1, 2) * Fraction(-1, 2)
-    assert falling_factorial(Fraction(7), 0) == 1

@@ -267,15 +267,22 @@ DOBINSKI = ("dobinski", "--dist", "bernoulli:1/2", "--n", "3", "--x", "1")
     [
         (("verify", "--config", "{tmp}/missing.cfg"), "missing.cfg"),
         (("verify", "T2.3", "--config", "{tmp}/bad.cfg"), "[T2.3]: nmax = 'abc'"),
+        (("verify", "--config", "{tmp}/headless.cfg"), "headless.cfg"),
+        (("verify", "T2.9", "--config", "{tmp}/empty.cfg"), "[T2.9] has no points"),
         (("table", "lah", "--nmax", "2", "--out", "{tmp}/no/such/dir/rows.json"), "rows.json"),
         (DOBINSKI + ("--tol", "0"), "rel_tol"),
         (DOBINSKI + ("--tol", "nan"), "rel_tol"),
         (DOBINSKI + ("--tol", "inf"), "rel_tol"),
     ],
-    ids=["missing-config", "non-integer-nmax", "out-dir-missing", "tol-0", "tol-nan", "tol-inf"],
+    ids=[
+        "missing-config", "non-integer-nmax", "no-section-header", "empty-grid",
+        "out-dir-missing", "tol-0", "tol-nan", "tol-inf",
+    ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv, needle):
     (tmp_path / "bad.cfg").write_text("[defaults]\nnmax = abc\n")
+    (tmp_path / "headless.cfg").write_text("nmax = 3\n")
+    (tmp_path / "empty.cfg").write_text("[defaults]\nnmax = -1\n")
     code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert code == 2
     assert out == ""

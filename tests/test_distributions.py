@@ -187,6 +187,11 @@ def test_deg_rising_moment_lambda_zero_is_raw():
         assert deg_rising_moment(Poisson(1), n, Fraction(0)) == raw_moment(Poisson(1), n)
 
 
+def test_sum_moment_of_many_copies():
+    # 1501 rows of two moments each, deeper than a fill by recursion could go
+    assert sum_raw_moment(Bernoulli(Fraction(1, 2)), 1500, 1) == 750
+
+
 def test_zero_fold_sum():
     for n in range(4):
         assert sum_raw_moment(BERN_THIRD, 0, n) == (1 if n == 0 else 0)

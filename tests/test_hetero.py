@@ -11,7 +11,6 @@ from heterobell import (
     Route,
     UnsupportedDistribution,
     dobinski_details,
-    dobinski_eval,
     hetero_bell_poly,
     hetero_derivative,
     hetero_stirling,
@@ -63,6 +62,13 @@ def test_hetero_against_bell_recurrence_oracle():
         for n in range(8):
             for k in range(n + 1):
                 assert hetero_stirling(n, k, lam) == oracles.hetero_via_bell(n, k, lam)
+
+
+def test_hetero_against_explicit_sum_oracle():
+    for lam in [HALF, Fraction(-1, 3), Fraction(2), Fraction(-13, 7)]:
+        for n in range(16):
+            for k in range(n + 1):
+                assert hetero_stirling(n, k, lam) == oracles.hetero_explicit(n, k, lam)
 
 
 def test_hetero_bell_poly_coeffs():
@@ -186,13 +192,13 @@ def test_dobinski_respects_rel_tol_argument():
 
 def test_dobinski_rejects_bad_inputs():
     with pytest.raises(NonPositiveEvaluationPoint):
-        dobinski_eval(BERN_HALF, 3, HALF, Fraction(0))
+        dobinski_details(BERN_HALF, 3, HALF, Fraction(0))
     with pytest.raises(NonPositiveEvaluationPoint):
-        dobinski_eval(BERN_HALF, 3, HALF, Fraction(-2))
+        dobinski_details(BERN_HALF, 3, HALF, Fraction(-2))
     with pytest.raises(UnsupportedDistribution):
-        dobinski_eval(Poisson(1), 3, HALF, Fraction(1))
+        dobinski_details(Poisson(1), 3, HALF, Fraction(1))
     with pytest.raises(ValueError):
-        dobinski_eval(BERN_HALF, 3, HALF, Fraction(1), rel_tol=0.0)
+        dobinski_details(BERN_HALF, 3, HALF, Fraction(1), rel_tol=0.0)
 
 
 def test_dobinski_zero_value_cases():

