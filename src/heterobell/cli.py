@@ -126,28 +126,29 @@ def _builder(registry: dict, name: str, dist):
     build, needs_dist = registry[name]
     if needs_dist and dist is None:
         raise MissingDistribution(f"{name} needs --dist")
-    return build
+    return build, needs_dist
 
 
-def _common_parameters(args, extra: dict) -> dict:
+def _common_parameters(args, needs_dist: bool, extra: dict) -> dict:
+    # a law given to a family that takes none plays no part, so it is recorded as null
     params = {
         "lambda": format_rational(args.lam),
-        "dist": None if args.dist is None else format_distribution(args.dist),
+        "dist": format_distribution(args.dist) if needs_dist else None,
     }
     params.update(extra)
     return params
 
 
 def cmd_table(args) -> int:
-    entry = _builder(TABLES, args.family, args.dist)
+    entry, needs_dist = _builder(TABLES, args.family, args.dist)
     if args.nmax < 0:
         raise ParseError("--nmax must be >= 0")
     rows = [
         [entry(n, k, args.lam, args.dist) for k in range(n + 1)]
         for n in range(args.nmax + 1)
     ]
-    params = _common_parameters(args, {"family": args.family, "nmax": args.nmax,
-                                       "format": args.format})
+    params = _common_parameters(args, needs_dist, {"family": args.family, "nmax": args.nmax,
+                                                   "format": args.format})
     if args.format == "json":
         record = {
             "command": "table",
@@ -165,13 +166,13 @@ def cmd_table(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    build = _builder(POLYS, args.kind, args.dist)
+    build, needs_dist = _builder(POLYS, args.kind, args.dist)
     if args.n < 0:
         raise ParseError("--n must be >= 0")
     poly = build(args.n, args.lam, args.dist)
     coeffs = [poly.coeff(i) for i in range(args.n + 1)]
-    params = _common_parameters(args, {"kind": args.kind, "n": args.n,
-                                       "format": args.format})
+    params = _common_parameters(args, needs_dist, {"kind": args.kind, "n": args.n,
+                                                   "format": args.format})
     if args.format == "json":
         record = {
             "command": "poly",

@@ -52,19 +52,24 @@ class FiniteSupport:
     """Finitely supported law given as (value, probability) pairs.
 
     Values may be negative; probabilities must be nonnegative and sum to 1.
+    The pairs are stored sorted by value with equal values merged, so two
+    spellings of one law compare, hash and print as one.
     """
 
     pairs: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        norm = tuple((Fraction(v), Fraction(p)) for v, p in self.pairs)
-        object.__setattr__(self, "pairs", norm)
+        norm = [(Fraction(v), Fraction(p)) for v, p in self.pairs]
         if not norm:
             raise ValueError("FiniteSupport needs at least one atom")
         if any(p < 0 for _, p in norm):
             raise ValueError("FiniteSupport probabilities must be nonnegative")
         if sum(p for _, p in norm) != 1:
             raise ValueError("FiniteSupport probabilities must sum to 1")
+        merged: dict[Fraction, Fraction] = {}
+        for v, p in norm:
+            merged[v] = merged.get(v, Fraction(0)) + p
+        object.__setattr__(self, "pairs", tuple(sorted(merged.items())))
 
 
 @dataclass(frozen=True)

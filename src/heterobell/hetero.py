@@ -20,7 +20,6 @@ from .distributions import (
     Distribution,
     deg_rising_moment,
     sum_deg_rising_moment,
-    sum_raw_moment,
     support_bound,
 )
 from .errors import NonPositiveEvaluationPoint, ParseError, UnsupportedDistribution
@@ -56,37 +55,34 @@ def hetero_bell_poly(n: int, lam: RationalLike) -> Polynomial:
     return Polynomial(hetero_stirling(n, k, lam) for k in range(n + 1))
 
 
+# memoised per entry as well: the benchmark reads cache_info() from it
 @lru_cache(maxsize=None)
 def prob_stirling2(d: Distribution, n: int, k: int) -> Fraction:
-    """Probabilistic Stirling number of the second kind for the law d.
-
-    Same alternating sum as stirling2 with j**n replaced by E[S_j**n].
-    """
-    if n < 0 or k < 0:
-        raise ValueError("indices must be >= 0")
-    acc = Fraction(0)
-    for j in range(k + 1):
-        acc += (-1) ** (k - j) * binomial(k, j) * sum_raw_moment(d, j, n)
-    return acc / factorial(k)
+    """Probabilistic Stirling number of the second kind: prob_hetero_stirling at lam = 0."""
+    return prob_hetero_stirling(d, n, k, 0)
 
 
+# memoised per entry as well: the benchmark reads cache_info() from it
 @lru_cache(maxsize=None)
 def prob_lah(d: Distribution, n: int, k: int) -> Fraction:
-    """Probabilistic Lah number: rising-factorial moments in the alternating sum."""
-    if n < 0 or k < 0:
-        raise ValueError("indices must be >= 0")
-    acc = Fraction(0)
-    for j in range(k + 1):
-        acc += (-1) ** (k - j) * binomial(k, j) * sum_deg_rising_moment(d, j, n, Fraction(1))
-    return acc / factorial(k)
+    """Probabilistic Lah number: prob_hetero_stirling at lam = 1."""
+    return prob_hetero_stirling(d, n, k, 1)
 
 
 @lru_cache(maxsize=None)
-def _prob_hetero_direct(d: Distribution, n: int, k: int, lam: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for j in range(k + 1):
-        acc += (-1) ** (k - j) * binomial(k, j) * sum_deg_rising_moment(d, j, n, lam)
-    return acc / factorial(k)
+def _direct_row(d: Distribution, n: int, lam: Fraction) -> Polynomial:
+    """Row n of the DIRECT route, coefficient k for k = 0..n.
+
+    The paper's definition (1/k!) sum_j (-1)**(k-j) C(k, j) E<S_j>_{n,lam},
+    with the n+1 partial-sum moments read once for the whole row.  Entries
+    with k > n vanish: E<S_j>_{n,lam} is a polynomial of degree at most n in j.
+    """
+    moments = [sum_deg_rising_moment(d, j, n, lam) for j in range(n + 1)]
+    return Polynomial(
+        sum(((-1) ** (k - j) * binomial(k, j) * moments[j] for j in range(k + 1)), Fraction(0))
+        / factorial(k)
+        for k in range(n + 1)
+    )
 
 
 def prob_hetero_stirling(
@@ -100,18 +96,15 @@ def prob_hetero_stirling(
         raise ValueError("indices must be >= 0")
     lam = Fraction(lam)
     if route is Route.DIRECT:
-        return _prob_hetero_direct(d, n, k, lam)
+        return _direct_row(d, n, lam).coeff(k)
     if route is Route.STIRLING_TRANSFORM:
         acc = Fraction(0)
         for l in range(k, n + 1):
             acc += prob_stirling2(d, l, k) * stirling1u(n, l) * lam ** (n - l)
         return acc
     if route is Route.PARTIAL_BELL:
-        if n == 0 and k == 0:
-            return Fraction(1)
-        if k == 0 or k > n:
-            return Fraction(0)
-        moments = [deg_rising_moment(d, m, lam) for m in range(1, n - k + 2)]
+        # B_{n,0} reads no sequence entries, so no moments are asked for at k = 0
+        moments = [deg_rising_moment(d, m, lam) for m in range(1, n - k + 2)] if k else []
         return partial_bell(n, k, moments)
     raise ValueError(f"unknown route {route!r}")
 
@@ -119,8 +112,14 @@ def prob_hetero_stirling(
 def prob_hetero_bell_poly(
     d: Distribution, n: int, lam: RationalLike, route: Route = Route.DIRECT
 ) -> Polynomial:
-    """Probabilistic heterogeneous Bell polynomial for the law d."""
+    """Probabilistic heterogeneous Bell polynomial for the law d.
+
+    DIRECT returns its memoised row itself, which is safe: Polynomial is
+    immutable.  The other routes assemble the polynomial entry by entry.
+    """
     lam = Fraction(lam)
+    if route is Route.DIRECT:
+        return _direct_row(d, n, lam)
     return Polynomial(prob_hetero_stirling(d, n, k, lam, route) for k in range(n + 1))
 
 

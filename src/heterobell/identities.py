@@ -166,9 +166,7 @@ def _check_numbers_partial_bell(dist, n: int, lam: Fraction):
     ]
     right = Polynomial.zero()
     for k in range(n + 1):
-        b = partial_bell(n, k, bell_numbers[1 : n - k + 2]) if k else (
-            Fraction(1) if n == 0 else Fraction(0)
-        )
+        b = partial_bell(n, k, bell_numbers[1 : n - k + 2])
         if b:
             right = right + b * _falling_poly(k)
     return left == right, left, right, None
@@ -184,23 +182,13 @@ def _check_shifted_sequence_bell(dist, n: int, k: int, lam: Fraction, x: Fractio
     shifted = [
         m * prob_hetero_bell_poly(dist, m - 1, lam)(x) for m in range(1, n - k + 2)
     ]
-    if n == 0 and k == 0:
-        right = Fraction(1)
-    elif k == 0:
-        right = Fraction(0)
-    else:
-        right = partial_bell(n, k, shifted)
+    right = partial_bell(n, k, shifted)
     return left == right, left, right, None
 
 
 def _check_poly_sequence_bell(dist, n: int, k: int, lam: Fraction, x: Fraction):
     values = [prob_hetero_bell_poly(dist, j, lam)(x) for j in range(1, n - k + 2)]
-    if n == 0 and k == 0:
-        left = Fraction(1)
-    elif k == 0:
-        left = Fraction(0)
-    else:
-        left = partial_bell(n, k, values)
+    left = partial_bell(n, k, values)
     right = Fraction(0)
     for j in range(k, n + 1):
         right += stirling2(j, k) * prob_hetero_stirling(dist, n, j, lam) * x**j
@@ -262,7 +250,7 @@ def _check_limits(dist, n: int):
     for k in range(n + 1):
         left += [hetero_stirling(n, k, Fraction(0)), hetero_stirling(n, k, Fraction(1))]
         right += [_hetero_explicit(n, k, Fraction(0)), _hetero_explicit(n, k, Fraction(1))]
-        # PARTIAL_BELL, since DIRECT at lam = 1 is the very sum prob_lah runs
+        # PARTIAL_BELL, since prob_stirling2 and prob_lah read DIRECT at lam = 0 and 1
         left += [
             prob_hetero_stirling(dist, n, k, Fraction(0), Route.PARTIAL_BELL),
             prob_hetero_stirling(dist, n, k, Fraction(1), Route.PARTIAL_BELL),

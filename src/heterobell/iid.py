@@ -94,17 +94,6 @@ class SymPoly:
 
     __rmul__ = __mul__
 
-    def subs_constant(self, value: RationalLike) -> Fraction:
-        """Replace every variable by the same rational value."""
-        value = Fraction(value)
-        acc = Fraction(0)
-        for mono, c in self._terms.items():
-            term = c
-            for e in mono:
-                term *= value**e
-            acc += term
-        return acc
-
 
 def expect(sp: SymPoly, d: Distribution) -> Fraction:
     """E[sp(Y_0, ..., Y_{arity-1})] for independent copies of the law d.

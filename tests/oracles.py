@@ -129,8 +129,11 @@ def poisson_moment_rec(alpha, n: int) -> Fraction:
     return moms[n]
 
 
-def finite_sum_moment(pairs, k: int, n: int) -> Fraction:
-    """E[S_k**n] for a finite law by enumerating all k-tuples of atoms."""
+def finite_sum_moment(pairs, k: int, n: int, lam=0) -> Fraction:
+    """E<S_k>_{n,lam} for a finite law by enumerating all k-tuples of atoms.
+
+    At lam = 0 this is the raw moment E[S_k**n].
+    """
     acc = Fraction(0)
     for combo in product(pairs, repeat=k):
         pr = Fraction(1)
@@ -138,7 +141,7 @@ def finite_sum_moment(pairs, k: int, n: int) -> Fraction:
         for v, p in combo:
             pr *= Fraction(p)
             s += Fraction(v)
-        acc += pr * s**n
+        acc += pr * rising(s, n, lam)
     return acc
 
 
@@ -164,6 +167,31 @@ def bernoulli_sum_rising_moment(p, k: int, n: int, lam) -> Fraction:
         ),
         Fraction(0),
     )
+
+
+def prob_alternating(moment, n: int, k: int) -> Fraction:
+    """Probabilistic number (n, k) by the paper's alternating sum.
+
+    (1/k!) sum_j (-1)**(k-j) C(k, j) moment(j, n), where moment(j, n) is
+    E<S_j>_{n,lam}, computed by the caller without the package.
+    """
+    acc = sum(
+        ((-1) ** (k - j) * math.comb(k, j) * Fraction(moment(j, n)) for j in range(k + 1)),
+        Fraction(0),
+    )
+    return acc / math.factorial(k)
+
+
+def subs_constant(sp, value) -> Fraction:
+    """A SymPoly with every variable replaced by the same rational value."""
+    value = Fraction(value)
+    acc = Fraction(0)
+    for mono, c in sp.terms.items():
+        term = c
+        for e in mono:
+            term *= value**e
+        acc += term
+    return acc
 
 
 def finite_expect_monomials(terms, arity: int, pairs) -> Fraction:

@@ -53,6 +53,21 @@ def test_table_prob_hetero_bernoulli(capsys):
     assert record["parameters"]["dist"] == "bernoulli:1/3"
 
 
+def test_table_records_unused_dist_as_null(capsys):
+    code, out, _ = run_cli(capsys, "table", "hetero", "--nmax", "2", "--dist", "poisson:1")
+    assert code == 0
+    assert json.loads(out)["parameters"]["dist"] is None
+
+
+def test_poly_records_unused_dist_as_null(capsys):
+    code, out, _ = run_cli(capsys, "poly", "bell", "--n", "3", "--dist", "poisson:1")
+    assert code == 0
+    assert json.loads(out)["parameters"]["dist"] is None
+    code, out, _ = run_cli(capsys, "poly", "prob_hetero_bell", "--n", "3", "--dist", "poisson:1")
+    assert code == 0
+    assert json.loads(out)["parameters"]["dist"] == "poisson:1"
+
+
 def test_table_csv_round_trip(capsys):
     code, out, _ = run_cli(
         capsys, "table", "deg_stirling1", "--nmax", "4", "--lambda", "1/3",

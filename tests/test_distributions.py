@@ -13,6 +13,7 @@ from heterobell import (
     deg_rising_moment,
     format_distribution,
     parse_distribution,
+    prob_hetero_bell_poly,
     raw_moment,
     sum_deg_rising_moment,
     sum_raw_moment,
@@ -47,6 +48,17 @@ def test_constructor_validation():
         MomentList((Fraction(2),))
     # negative support values are allowed
     FiniteSupport(((Fraction(-3), Fraction(1, 4)), (Fraction(1), Fraction(3, 4))))
+
+
+def test_finite_support_spellings_are_one_law():
+    texts = ("finite:2:1/2,0:1/2", "finite:0:1/2,2:1/2", "finite:0:1/4,0:1/4,2:1/2")
+    laws = [parse_distribution(t) for t in texts]
+    assert laws[0] == laws[1] == laws[2]
+    assert len({hash(d) for d in laws}) == 1
+    assert {format_distribution(d) for d in laws} == {"finite:0:1/2,2:1/2"}
+    # one memo row: equal laws are one key, so the memo hands back one object
+    rows = [prob_hetero_bell_poly(d, 4, Fraction(1, 3)) for d in laws]
+    assert rows[0] is rows[1] is rows[2]
 
 
 def test_parse_format_round_trip():

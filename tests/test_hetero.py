@@ -2,10 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heterobell import (
     Bernoulli,
     Constant,
+    FiniteSupport,
     NonPositiveEvaluationPoint,
     Poisson,
     Route,
@@ -24,7 +27,7 @@ from heterobell import (
 )
 
 from . import oracles
-from .oracles import BERN_HALF, BERN_THIRD, CONST_ONE, FS_ZERO_TWO, TRIO
+from .oracles import BERN_HALF, BERN_THIRD, CONST_ONE, FS_ZERO_TWO, POISSON_ONE, TRIO
 
 HALF = Fraction(1, 2)
 
@@ -106,14 +109,30 @@ def test_prob_unit_bernoulli_matches_unit_constant():
             )
 
 
+def _oracle_moment(d, lam):
+    """(j, n) -> E<S_j>_{n,lam} at lam = 0 or 1, computed without the package."""
+    if d == POISSON_ONE:
+        # S_j is Poisson(j): Touchard moments at lam = 0, Lah-weighted powers at lam = 1
+        if lam == 0:
+            return lambda j, n: oracles.poisson_moment_rec(j, n)
+        return lambda j, n: sum((oracles.lah_closed(n, i) * j**i for i in range(n + 1)), 0)
+    if d == BERN_HALF:
+        return lambda j, n: oracles.bernoulli_sum_rising_moment(HALF, j, n, lam)
+    pairs = ((1, 1),) if d == CONST_ONE else d.pairs
+    return lambda j, n: oracles.finite_sum_moment(pairs, j, n, lam)
+
+
 def test_prob_lambda_limits():
     for d in TRIO + (FS_ZERO_TWO,):
+        zero, one = _oracle_moment(d, 0), _oracle_moment(d, 1)
         for n in range(6):
-            for k in range(n + 1):
-                assert prob_hetero_stirling(d, n, k, Fraction(0)) == prob_stirling2(
-                    d, n, k
-                )
-                assert prob_hetero_stirling(d, n, k, Fraction(1)) == prob_lah(d, n, k)
+            for k in range(n + 2):
+                assert prob_stirling2(d, n, k) == prob_hetero_stirling(
+                    d, n, k, 0
+                ) == oracles.prob_alternating(zero, n, k)
+                assert prob_lah(d, n, k) == prob_hetero_stirling(
+                    d, n, k, 1
+                ) == oracles.prob_alternating(one, n, k)
 
 
 def test_routes_agree():
@@ -127,6 +146,28 @@ def test_routes_agree():
                         == base
                     )
                     assert prob_hetero_stirling(d, n, k, lam, Route.PARTIAL_BELL) == base
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _finite_laws(draw):
+    values = draw(st.lists(_rationals, min_size=1, max_size=3))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(values), max_size=len(values)))
+    total = sum(weights)
+    return FiniteSupport(tuple((v, Fraction(w, total)) for v, w in zip(values, weights)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_finite_laws(), _rationals, st.integers(0, 6))
+def test_routes_agree_on_random_laws(d, lam, n):
+    moments = [oracles.finite_sum_moment(d.pairs, j, n, lam) for j in range(n + 1)]
+    for k in range(n + 1):
+        direct = prob_hetero_stirling(d, n, k, lam, Route.DIRECT)
+        assert direct == oracles.prob_alternating(lambda j, _: moments[j], n, k)
+        assert prob_hetero_stirling(d, n, k, lam, Route.STIRLING_TRANSFORM) == direct
+        assert prob_hetero_stirling(d, n, k, lam, Route.PARTIAL_BELL) == direct
 
 
 def test_negative_indices_rejected():

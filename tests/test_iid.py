@@ -63,7 +63,7 @@ def test_subs_constant():
     x = SymPoly.variable(2, 0)
     y = SymPoly.variable(2, 1)
     p = x * x * y + 3 * y + 2
-    assert p.subs_constant(Fraction(1, 2)) == Fraction(1, 8) + Fraction(3, 2) + 2
+    assert oracles.subs_constant(p, Fraction(1, 2)) == Fraction(1, 8) + Fraction(3, 2) + 2
 
 
 def test_expect_factorizes_products():
@@ -90,7 +90,7 @@ def test_expect_against_brute_force_enumeration():
 def test_expect_constant_law_is_substitution():
     sp = SymPoly(2, {(2, 1): 1, (0, 1): Fraction(-1, 2), (0, 0): 3})
     c = Fraction(3, 2)
-    assert expect(sp, Constant(c)) == sp.subs_constant(c)
+    assert expect(sp, Constant(c)) == oracles.subs_constant(sp, c)
 
 
 def test_compositions_enumeration():
