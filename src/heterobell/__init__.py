@@ -41,6 +41,7 @@ from .errors import (
     NonPositiveEvaluationPoint,
     ParseError,
     PartsMismatch,
+    SeriesNotCertified,
     UnknownIdentity,
     UnsupportedDistribution,
 )

@@ -42,23 +42,23 @@ from .triangles import (
     stirling2,
 )
 
-# name -> (builder, needs_dist); a table builder gives entry (n, k), a
-# polynomial builder the whole polynomial of order n
+# name -> (builder, inputs it reads); a builder takes the indices, then the values of
+# those inputs, and gives entry (n, k) of a table or the polynomial of order n
 TABLES = {
-    "stirling2": (lambda n, k, lam, dist: stirling2(n, k), False),
-    "stirling1u": (lambda n, k, lam, dist: stirling1u(n, k), False),
-    "lah": (lambda n, k, lam, dist: lah(n, k), False),
-    "deg_stirling1": (lambda n, k, lam, dist: deg_stirling1(n, k, lam), False),
-    "hetero": (lambda n, k, lam, dist: hetero_stirling(n, k, lam), False),
-    "prob_stirling2": (lambda n, k, lam, dist: prob_stirling2(dist, n, k), True),
-    "prob_lah": (lambda n, k, lam, dist: prob_lah(dist, n, k), True),
-    "prob_hetero": (lambda n, k, lam, dist: prob_hetero_stirling(dist, n, k, lam), True),
+    "stirling2": (stirling2, ()),
+    "stirling1u": (stirling1u, ()),
+    "lah": (lah, ()),
+    "deg_stirling1": (deg_stirling1, ("lambda",)),
+    "hetero": (hetero_stirling, ("lambda",)),
+    "prob_stirling2": (lambda n, k, d: prob_stirling2(d, n, k), ("dist",)),
+    "prob_lah": (lambda n, k, d: prob_lah(d, n, k), ("dist",)),
+    "prob_hetero": (lambda n, k, lam, d: prob_hetero_stirling(d, n, k, lam), ("lambda", "dist")),
 }
 POLYS = {
-    "bell": (lambda n, lam, dist: bell_poly(n), False),
-    "lahbell": (lambda n, lam, dist: lah_bell_poly(n), False),
-    "hetero_bell": (lambda n, lam, dist: hetero_bell_poly(n, lam), False),
-    "prob_hetero_bell": (lambda n, lam, dist: prob_hetero_bell_poly(dist, n, lam), True),
+    "bell": (bell_poly, ()),
+    "lahbell": (lah_bell_poly, ()),
+    "hetero_bell": (hetero_bell_poly, ("lambda",)),
+    "prob_hetero_bell": (lambda n, lam, d: prob_hetero_bell_poly(d, n, lam), ("lambda", "dist")),
 }
 
 
@@ -122,33 +122,32 @@ def _json_record(record: dict) -> str:
     return json.dumps(record, indent=2)
 
 
-def _builder(registry: dict, name: str, dist):
-    build, needs_dist = registry[name]
-    if needs_dist and dist is None:
+def _builder(registry: dict, name: str, args):
+    build, inputs = registry[name]
+    if "dist" in inputs and args.dist is None:
         raise MissingDistribution(f"{name} needs --dist")
-    return build, needs_dist
+    given = {"lambda": args.lam, "dist": args.dist}
+    return build, {key: given[key] for key in inputs}
 
 
-def _common_parameters(args, needs_dist: bool, extra: dict) -> dict:
-    # a law given to a family that takes none plays no part, so it is recorded as null
-    params = {
-        "lambda": format_rational(args.lam),
-        "dist": format_distribution(args.dist) if needs_dist else None,
+def _common_parameters(read: dict, **extra) -> dict:
+    # an input the builder does not read plays no part, so it is recorded as null
+    return {
+        "lambda": format_rational(read["lambda"]) if "lambda" in read else None,
+        "dist": format_distribution(read["dist"]) if "dist" in read else None,
+        **extra,
     }
-    params.update(extra)
-    return params
 
 
 def cmd_table(args) -> int:
-    entry, needs_dist = _builder(TABLES, args.family, args.dist)
+    entry, read = _builder(TABLES, args.family, args)
     if args.nmax < 0:
         raise ParseError("--nmax must be >= 0")
     rows = [
-        [entry(n, k, args.lam, args.dist) for k in range(n + 1)]
+        [entry(n, k, *read.values()) for k in range(n + 1)]
         for n in range(args.nmax + 1)
     ]
-    params = _common_parameters(args, needs_dist, {"family": args.family, "nmax": args.nmax,
-                                                   "format": args.format})
+    params = _common_parameters(read, family=args.family, nmax=args.nmax, format=args.format)
     if args.format == "json":
         record = {
             "command": "table",
@@ -166,13 +165,12 @@ def cmd_table(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    build, needs_dist = _builder(POLYS, args.kind, args.dist)
+    build, read = _builder(POLYS, args.kind, args)
     if args.n < 0:
         raise ParseError("--n must be >= 0")
-    poly = build(args.n, args.lam, args.dist)
+    poly = build(args.n, *read.values())
     coeffs = [poly.coeff(i) for i in range(args.n + 1)]
-    params = _common_parameters(args, needs_dist, {"kind": args.kind, "n": args.n,
-                                                   "format": args.format})
+    params = _common_parameters(read, kind=args.kind, n=args.n, format=args.format)
     if args.format == "json":
         record = {
             "command": "poly",

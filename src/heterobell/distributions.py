@@ -52,8 +52,8 @@ class FiniteSupport:
     """Finitely supported law given as (value, probability) pairs.
 
     Values may be negative; probabilities must be nonnegative and sum to 1.
-    The pairs are stored sorted by value with equal values merged, so two
-    spellings of one law compare, hash and print as one.
+    The pairs are stored sorted by value, equal values merged and atoms of
+    probability 0 dropped, so two spellings of one law compare, hash and print as one.
     """
 
     pairs: tuple[tuple[Fraction, Fraction], ...]
@@ -68,7 +68,8 @@ class FiniteSupport:
             raise ValueError("FiniteSupport probabilities must sum to 1")
         merged: dict[Fraction, Fraction] = {}
         for v, p in norm:
-            merged[v] = merged.get(v, Fraction(0)) + p
+            if p > 0:
+                merged[v] = merged.get(v, Fraction(0)) + p
         object.__setattr__(self, "pairs", tuple(sorted(merged.items())))
 
 

@@ -29,6 +29,10 @@ class NonPositiveEvaluationPoint(HeterobellError, ValueError):
     """Series evaluation requires a strictly positive point."""
 
 
+class SeriesNotCertified(HeterobellError, ArithmeticError):
+    """A series value has no certified relative bound, or no float holds it."""
+
+
 class UnknownIdentity(HeterobellError, ValueError):
     """Identity tag not present in the verification registry."""
 

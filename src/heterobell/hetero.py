@@ -22,7 +22,12 @@ from .distributions import (
     sum_deg_rising_moment,
     support_bound,
 )
-from .errors import NonPositiveEvaluationPoint, ParseError, UnsupportedDistribution
+from .errors import (
+    NonPositiveEvaluationPoint,
+    ParseError,
+    SeriesNotCertified,
+    UnsupportedDistribution,
+)
 from .polynomial import Polynomial
 from .triangles import partial_bell, stirling1u, triangle_entry
 
@@ -201,11 +206,7 @@ def dobinski_details(
     target = min(Fraction(rel_tol) / 2, Fraction(1, 4))
 
     def majorant(k: int) -> Fraction:
-        if n == 0:
-            head = Fraction(1)
-        else:
-            head = (k * bound + spread) ** n
-        return head * x**k / factorial(k)
+        return (k * bound + spread) ** n * x**k / factorial(k)
 
     partial = Fraction(0)
     k = 0
@@ -227,21 +228,26 @@ def dobinski_details(
             # identically zero series
             return SeriesEvaluation(0.0, k + 1, partial, 0.0)
         if partial != 0 and tail <= target * abs(partial):
-            # allowance: float rounding of exp/product plus the shift of the
-            # exponent when x itself is not exactly representable
+            # partial = m * 2**s with 1/2 < |m| < 2 exactly; 2**s folds into the exponent
+            # of e**(-x), and a value past about e**(+-700) is refused, not rounded to inf or 0
+            s = abs(partial.numerator).bit_length() - partial.denominator.bit_length()
+            exponent = s * math.log(2) - float(x)
+            if abs(exponent) > 700:
+                raise SeriesNotCertified(f"series value e**{exponent:.6g} is past the float range")
+            value = float(partial / Fraction(2) ** s) * math.exp(exponent)
+            # allowance: float rounding of m, exp and the product, the rounding
+            # of the exponent, and its shift when x is not exactly representable
             rel = (
                 float(tail / (abs(partial) - tail))
                 + 1e-15
+                + 2.0**-51 * (abs(s * math.log(2)) + abs(float(x)))
                 + 1.01 * abs(float(Fraction(float(x)) - x))
             )
-            value = math.exp(-float(x)) * float(partial)
             return SeriesEvaluation(value, k + 1, partial, rel)
         if not any_term and k >= 64 + 4 * n:
             # e.g. a point mass at 0 with lam != 0: the limit is 0 but the
             # majorant stays positive, so no relative bound can be certified
-            raise ArithmeticError(
-                "series terms are all zero; cannot certify a relative error"
-            )
+            raise SeriesNotCertified("series terms are all zero; cannot certify a relative error")
         k += 1
         if k > 100_000:
-            raise ArithmeticError("series failed to certify convergence")
+            raise SeriesNotCertified("series failed to certify convergence")

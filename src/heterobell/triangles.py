@@ -91,9 +91,9 @@ def deg_stirling1(n: int, k: int, lam: RationalLike) -> Fraction:
 def partial_bell(n: int, k: int, xs: Sequence[RationalLike]) -> Fraction:
     """Partial (incomplete) exponential Bell polynomial B_{n,k}(x1, x2, ...).
 
-    Sums n!/(l1!...lM!) * prod (x_i/i!)**l_i over multi-indices with
-    sum l_i = k and sum i*l_i = n, where M = n - k + 1.  Needs at least
-    M leading entries of xs (indexed from x1).
+    Equals (n!/k!) [t**n] G(t)**k with G(t) = sum x_i t**i / i! (Comtet 1974, 3.3);
+    q*G, with q the common denominator, is raised to the k-th power in integers.
+    Needs at least M = n - k + 1 leading entries of xs (indexed from x1).
     """
     if n < 0 or k < 0:
         raise ValueError("partial_bell needs n >= 0 and k >= 0")
@@ -104,25 +104,14 @@ def partial_bell(n: int, k: int, xs: Sequence[RationalLike]) -> Fraction:
     m = n - k + 1
     if len(xs) < m:
         raise InsufficientSequence(f"need {m} sequence entries, got {len(xs)}")
-    args = [Fraction(x) for x in xs[:m]]
-    total = Fraction(0)
-
-    def descend(i: int, count_left: int, weight_left: int, acc: Fraction) -> None:
-        nonlocal total
-        if i == 0:
-            if count_left == 0 and weight_left == 0:
-                total += acc
-            return
-        if weight_left < count_left or weight_left > count_left * i:
-            return
-        piece = args[i - 1] / factorial(i)
-        term = acc
-        for l in range(min(count_left, weight_left // i) + 1):
-            descend(i - 1, count_left - l, weight_left - l * i, term)
-            term = term * piece / (l + 1)
-
-    descend(m, k, n, Fraction(1))
-    return factorial(n) * total
+    g = [Fraction(x) / factorial(i) for i, x in enumerate(xs[:m], start=1)]
+    q = math.lcm(*(c.denominator for c in g))
+    a = [c.numerator * (q // c.denominator) for c in g]  # a[s]: coefficient of t**(s+1) in q*G
+    # coefficients of t**j .. t**(j+m-1) in (q*G)**j, from j = 0 up to j = k
+    power = [1] + [0] * (m - 1)
+    for _ in range(k):
+        power = [sum(power[i] * a[s - i] for i in range(s + 1)) for s in range(m)]
+    return Fraction(factorial(n) * power[m - 1], factorial(k) * q**k)
 
 
 def complete_bell(n: int, xs: Sequence[RationalLike]) -> Fraction:

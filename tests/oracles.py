@@ -3,11 +3,11 @@
 Deliberately different algorithms from the package under test: the
 paper's alternating sums and partial Bell polynomials where the package
 runs its row recurrence, brute-force enumeration instead of cached
-convolution, explicit division instead of cancelled factors.  A bug would
-have to appear in two unrelated derivations to slip through.  The
-exceptions are stirling2_rec and stirling1u_rec, which run the package's
-recurrence top-down; the benchmark reads them, and stirling2_explicit is
-the independent check of stirling2.
+convolution or series powers, explicit division instead of cancelled
+factors.  A bug would have to appear in two unrelated derivations to slip
+through.  The exceptions are stirling2_rec and stirling1u_rec, which run
+the package's recurrence top-down; the benchmark reads them, and
+stirling2_explicit is the independent check of stirling2.
 """
 from __future__ import annotations
 
@@ -70,6 +70,40 @@ def partial_bell_rec(n: int, k: int, xs) -> Fraction:
     for i in range(1, n - k + 2):
         acc += math.comb(n - 1, i - 1) * Fraction(xs[i - 1]) * partial_bell_rec(n - i, k - 1, xs)
     return acc
+
+
+def partial_bell_multiindex(n: int, k: int, xs) -> Fraction:
+    """B_{n,k} as the multi-index sum, enumerated by recursion.
+
+    Sums n!/(l1!...lM!) * prod (x_i/i!)**l_i over multi-indices with
+    sum l_i = k and sum i*l_i = n, where M = n - k + 1.
+    """
+    if n < 0 or k < 0:
+        raise ValueError("partial_bell needs n >= 0 and k >= 0")
+    if n == 0 and k == 0:
+        return Fraction(1)
+    if k == 0 or k > n:
+        return Fraction(0)
+    m = n - k + 1
+    args = [Fraction(x) for x in xs[:m]]
+    total = Fraction(0)
+
+    def descend(i: int, count_left: int, weight_left: int, acc: Fraction) -> None:
+        nonlocal total
+        if i == 0:
+            if count_left == 0 and weight_left == 0:
+                total += acc
+            return
+        if weight_left < count_left or weight_left > count_left * i:
+            return
+        piece = args[i - 1] / math.factorial(i)
+        term = acc
+        for l in range(min(count_left, weight_left // i) + 1):
+            descend(i - 1, count_left - l, weight_left - l * i, term)
+            term = term * piece / (l + 1)
+
+    descend(m, k, n, Fraction(1))
+    return math.factorial(n) * total
 
 
 def rising(x, n: int, lam) -> Fraction:

@@ -26,7 +26,7 @@ def test_table_stirling2_json(capsys):
     assert record["command"] == "table"
     assert record["rows"] == [["1"], ["0", "1"], ["0", "1", "1"], ["0", "1", "3", "1"]]
     assert record["parameters"]["family"] == "stirling2"
-    assert record["parameters"]["lambda"] == "0"
+    assert record["parameters"]["lambda"] is None
 
 
 def test_table_hetero_half_lambda(capsys):
@@ -57,15 +57,27 @@ def test_table_records_unused_dist_as_null(capsys):
     code, out, _ = run_cli(capsys, "table", "hetero", "--nmax", "2", "--dist", "poisson:1")
     assert code == 0
     assert json.loads(out)["parameters"]["dist"] is None
+    assert json.loads(out)["parameters"]["lambda"] == "0"
+    code, out, _ = run_cli(
+        capsys, "table", "prob_stirling2", "--nmax", "1", "--lambda", "5",
+        "--dist", "bernoulli:1/2",
+    )
+    assert code == 0
+    assert json.loads(out)["parameters"]["lambda"] is None
+    assert json.loads(out)["parameters"]["dist"] == "bernoulli:1/2"
 
 
 def test_poly_records_unused_dist_as_null(capsys):
-    code, out, _ = run_cli(capsys, "poly", "bell", "--n", "3", "--dist", "poisson:1")
+    code, out, _ = run_cli(
+        capsys, "poly", "bell", "--n", "3", "--lambda", "5", "--dist", "poisson:1"
+    )
     assert code == 0
     assert json.loads(out)["parameters"]["dist"] is None
+    assert json.loads(out)["parameters"]["lambda"] is None
     code, out, _ = run_cli(capsys, "poly", "prob_hetero_bell", "--n", "3", "--dist", "poisson:1")
     assert code == 0
     assert json.loads(out)["parameters"]["dist"] == "poisson:1"
+    assert json.loads(out)["parameters"]["lambda"] == "0"
 
 
 def test_table_csv_round_trip(capsys):
@@ -207,6 +219,35 @@ def test_dobinski_nonpositive_point_rejected(capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--dist", "const:0", "--lambda", "1", "--n", "2", "--x", "1"),
+        ("--dist", "finite:-1:1/2,1:1/2", "--n", "1", "--x", "1"),
+        ("--dist", "bernoulli:0", "--n", "2", "--x", "1"),
+    ],
+    ids=["point-mass-at-0", "mean-0", "bernoulli-0"],
+)
+def test_dobinski_zero_series_exits_2(capsys, argv):
+    # every term of the series is 0, so no relative error can be certified
+    code, out, err = run_cli(capsys, "dobinski", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_dobinski_large_point(capsys):
+    # the exact partial sum is near e**720, past the largest float
+    code, out, err = run_cli(
+        capsys, "dobinski", "--dist", "bernoulli:1/2", "--n", "1", "--x", "720"
+    )
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    assert record["exact"] == "360"
+    bound = Fraction(float(record["rel_error_bound"]))
+    assert abs(Fraction(float(record["value"])) - 360) <= bound * 360
+    assert bound <= Fraction(1, 10**11)
 
 
 def test_table_out_file(capsys, tmp_path):

@@ -11,6 +11,7 @@ from heterobell import (
     ParseError,
     Poisson,
     deg_rising_moment,
+    dobinski_details,
     format_distribution,
     parse_distribution,
     prob_hetero_bell_poly,
@@ -51,14 +52,25 @@ def test_constructor_validation():
 
 
 def test_finite_support_spellings_are_one_law():
-    texts = ("finite:2:1/2,0:1/2", "finite:0:1/2,2:1/2", "finite:0:1/4,0:1/4,2:1/2")
+    texts = (
+        "finite:2:1/2,0:1/2",
+        "finite:0:1/2,2:1/2",
+        "finite:0:1/4,0:1/4,2:1/2",
+        "finite:0:1/2,2:1/2,5:0",
+    )
     laws = [parse_distribution(t) for t in texts]
-    assert laws[0] == laws[1] == laws[2]
+    assert laws[0] == laws[1] == laws[2] == laws[3]
     assert len({hash(d) for d in laws}) == 1
     assert {format_distribution(d) for d in laws} == {"finite:0:1/2,2:1/2"}
     # one memo row: equal laws are one key, so the memo hands back one object
     rows = [prob_hetero_bell_poly(d, 4, Fraction(1, 3)) for d in laws]
-    assert rows[0] is rows[1] is rows[2]
+    assert rows[0] is rows[1] is rows[2] is rows[3]
+    # an atom of probability 0 does not widen the support bound of the series
+    terms = {
+        dobinski_details(parse_distribution(t), 3, 0, 2).terms_used
+        for t in ("finite:1:1", "finite:1:1,100:0")
+    }
+    assert len(terms) == 1
 
 
 def test_parse_format_round_trip():

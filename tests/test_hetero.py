@@ -12,6 +12,7 @@ from heterobell import (
     NonPositiveEvaluationPoint,
     Poisson,
     Route,
+    SeriesNotCertified,
     UnsupportedDistribution,
     dobinski_details,
     hetero_bell_poly,
@@ -249,6 +250,16 @@ def test_dobinski_zero_value_cases():
     # lam != 0 point mass at 0: value is 0 but no relative bound exists
     with pytest.raises(ArithmeticError):
         dobinski_details(Constant(0), 2, HALF, Fraction(1))
+
+
+def test_dobinski_value_outside_float_range():
+    # the exact sums are fine; only the float of the result would be inf or 0
+    with pytest.raises(SeriesNotCertified):
+        dobinski_details(Constant(10**310), 1, Fraction(0), Fraction(1))
+    with pytest.raises(SeriesNotCertified):
+        dobinski_details(BERN_HALF, 1, Fraction(0), Fraction(1, 10**400))
+    r = dobinski_details(Constant(10**300), 1, Fraction(0), Fraction(1))
+    assert abs(Fraction(r.value) - 10**300) <= Fraction(r.rel_bound) * 10**300
 
 
 def test_dobinski_large_nondyadic_point():

@@ -6,6 +6,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heterobell
 from heterobell import (
@@ -204,10 +206,10 @@ def test_deg_stirling1_limit_rows():
 
 
 def test_partial_bell_specializations():
-    ones = [1] * 10
-    facts = [math.factorial(m) for m in range(1, 11)]
-    shifted = [math.factorial(m - 1) for m in range(1, 11)]
-    for n in range(10):
+    ones = [1] * 40
+    facts = [math.factorial(m) for m in range(1, 41)]
+    shifted = [math.factorial(m - 1) for m in range(1, 41)]
+    for n in [*range(10), 40]:
         for k in range(n + 1):
             assert partial_bell(n, k, ones) == stirling2(n, k)
             assert partial_bell(n, k, facts) == lah(n, k)
@@ -219,6 +221,24 @@ def test_partial_bell_against_recurrence_oracle():
     for n in range(7):
         for k in range(n + 1):
             assert partial_bell(n, k, xs) == oracles.partial_bell_rec(n, k, xs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=12), min_size=11, max_size=11
+    ),
+    st.integers(min_value=0, max_value=10),
+)
+def test_partial_bell_kernel_against_both_oracles(xs, n):
+    # series powers, the multi-index sum and the top-element recurrence are
+    # three unrelated algorithms for one polynomial
+    for k in range(n + 2):
+        assert (
+            partial_bell(n, k, xs)
+            == oracles.partial_bell_multiindex(n, k, xs)
+            == oracles.partial_bell_rec(n, k, xs)
+        )
 
 
 def test_partial_bell_homogeneity():
@@ -237,6 +257,10 @@ def test_partial_bell_short_sequence():
         complete_bell(3, [1, 1])
     # exactly n - k + 1 entries suffice
     assert partial_bell(5, 4, [1, 1]) == stirling2(5, 4)
+    # k = 0 and k > n read no entries at all
+    assert partial_bell(0, 0, []) == 1
+    assert partial_bell(3, 0, []) == 0
+    assert partial_bell(2, 3, []) == 0
 
 
 def test_complete_bell_sums_partials():
