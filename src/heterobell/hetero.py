@@ -56,6 +56,8 @@ def hetero_stirling(n: int, k: int, lam: Fraction) -> Fraction:
 
 def hetero_bell_poly(n: int, lam: RationalLike) -> Polynomial:
     """Heterogeneous Bell polynomial: coefficient k is hetero_stirling(n, k)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     lam = Fraction(lam)
     return Polynomial(hetero_stirling(n, k, lam) for k in range(n + 1))
 
@@ -75,19 +77,24 @@ def prob_lah(d: Distribution, n: int, k: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _direct_row(d: Distribution, n: int, lam: Fraction) -> Polynomial:
-    """Row n of the DIRECT route, coefficient k for k = 0..n.
-
-    The paper's definition (1/k!) sum_j (-1)**(k-j) C(k, j) E<S_j>_{n,lam},
-    with the n+1 partial-sum moments read once for the whole row.  Entries
-    with k > n vanish: E<S_j>_{n,lam} is a polynomial of degree at most n in j.
-    """
-    moments = [sum_deg_rising_moment(d, j, n, lam) for j in range(n + 1)]
-    return Polynomial(
-        sum(((-1) ** (k - j) * binomial(k, j) * moments[j] for j in range(k + 1)), Fraction(0))
-        / factorial(k)
-        for k in range(n + 1)
-    )
+def _row(d: Distribution, n: int, lam: Fraction, route: Route) -> Polynomial:
+    """Row n of the chosen route, coefficient k for k = 0..n; entries with k > n vanish."""
+    if route is Route.DIRECT:
+        # the paper's definition (1/k!) sum_j (-1)**(k-j) C(k, j) E<S_j>_{n,lam}
+        moments = [sum_deg_rising_moment(d, j, n, lam) for j in range(n + 1)]
+        return Polynomial(
+            sum(((-1) ** (k - j) * binomial(k, j) * moments[j] for j in range(k + 1)), Fraction(0))
+            / factorial(k)
+            for k in range(n + 1)
+        )
+    if route is Route.STIRLING_TRANSFORM:
+        return Polynomial(
+            sum(prob_stirling2(d, l, k) * stirling1u(n, l) * lam ** (n - l) for l in range(k, n + 1))
+            for k in range(n + 1)
+        )
+    # PARTIAL_BELL: B_{n,k} of the single-copy moments E<Y>_{m,lam}, m = 1..n
+    moments = [deg_rising_moment(d, m, lam) for m in range(1, n + 1)]
+    return Polynomial(partial_bell(n, k, moments) for k in range(n + 1))
 
 
 def prob_hetero_stirling(
@@ -97,35 +104,23 @@ def prob_hetero_stirling(
 
     All routes agree exactly; they exist so the library can check itself.
     """
-    if n < 0 or k < 0:
+    if k < 0:
         raise ValueError("indices must be >= 0")
-    lam = Fraction(lam)
-    if route is Route.DIRECT:
-        return _direct_row(d, n, lam).coeff(k)
-    if route is Route.STIRLING_TRANSFORM:
-        acc = Fraction(0)
-        for l in range(k, n + 1):
-            acc += prob_stirling2(d, l, k) * stirling1u(n, l) * lam ** (n - l)
-        return acc
-    if route is Route.PARTIAL_BELL:
-        # B_{n,0} reads no sequence entries, so no moments are asked for at k = 0
-        moments = [deg_rising_moment(d, m, lam) for m in range(1, n - k + 2)] if k else []
-        return partial_bell(n, k, moments)
-    raise ValueError(f"unknown route {route!r}")
+    return prob_hetero_bell_poly(d, n, lam, route).coeff(k)
 
 
 def prob_hetero_bell_poly(
     d: Distribution, n: int, lam: RationalLike, route: Route = Route.DIRECT
 ) -> Polynomial:
-    """Probabilistic heterogeneous Bell polynomial for the law d.
+    """Probabilistic heterogeneous Bell polynomial for the law d, by the chosen route.
 
-    DIRECT returns its memoised row itself, which is safe: Polynomial is
-    immutable.  The other routes assemble the polynomial entry by entry.
+    Returns the route's memoised row itself, which is safe: Polynomial is immutable.
     """
-    lam = Fraction(lam)
-    if route is Route.DIRECT:
-        return _direct_row(d, n, lam)
-    return Polynomial(prob_hetero_stirling(d, n, k, lam, route) for k in range(n + 1))
+    if n < 0:
+        raise ValueError("indices must be >= 0")
+    if not isinstance(route, Route):
+        raise ValueError(f"unknown route {route!r}")
+    return _row(d, n, Fraction(lam), route)
 
 
 def prob_hetero_bell_recurrence(d: Distribution, n_max: int, lam: RationalLike) -> list[Polynomial]:
@@ -166,6 +161,9 @@ def hetero_derivative(d: Distribution, n: int, lam: RationalLike, k: int) -> Pol
     return factorial(k) * acc
 
 
+_SERIES_TERM_CAP = 5_000  # the work grows about as x**3; x up to about 4,000 fits
+
+
 @dataclass(frozen=True)
 class SeriesEvaluation:
     """Result of a truncated exponential-series evaluation."""
@@ -185,7 +183,9 @@ def dobinski_details(
     factorials inside the expectation.  Terms are summed exactly; the tail
     after truncation is dominated by a geometric majorant built from a
     support bound B of |Y|, |E[<S_k>]| <= (k*B + (n-1)|lam|)**n, so the
-    reported error bound is sound, not heuristic.
+    reported error bound is sound, not heuristic.  At most 5,000 terms are
+    summed; a series that cannot certify within them raises SeriesNotCertified,
+    at once when the majorant still grows at the cap.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -204,24 +204,28 @@ def dobinski_details(
     # stop once the truncation alone is well under rel_tol, leaving room
     # for the single float rounding at the end
     target = min(Fraction(rel_tol) / 2, Fraction(1, 4))
-
-    def majorant(k: int) -> Fraction:
-        return (k * bound + spread) ** n * x**k / factorial(k)
+    # the majorant's ratio of term k+2 to term k+1, ((k+2)B+s)**n x / (((k+1)B+s)**n (k+2)),
+    # falls with k; if it is still >= 1 at the last k, no tail can ever be certified (a majorant
+    # that is 0, with base**n == 0, needs no tail)
+    base = _SERIES_TERM_CAP * bound + spread
+    if base**n and (base + bound) ** n * x >= base**n * (_SERIES_TERM_CAP + 1):
+        raise SeriesNotCertified(f"series needs more than {_SERIES_TERM_CAP} terms at x = {x}")
 
     partial = Fraction(0)
-    k = 0
+    weight = Fraction(1)  # x**k / k!
     any_term = False
-    while True:
-        term = sum_deg_rising_moment(d, k, n, lam) * x**k / factorial(k)
+    for k in range(_SERIES_TERM_CAP):
+        term = sum_deg_rising_moment(d, k, n, lam) * weight
         any_term = any_term or term != 0
         partial += term
-        first_omitted = majorant(k + 1)
+        weight *= x / (k + 1)
+        base = (k + 1) * bound + spread
+        first_omitted = base**n * weight
         if first_omitted == 0:
             tail = Fraction(0)
         else:
-            ratio = majorant(k + 2) / first_omitted
+            ratio = (base + bound) ** n * x / (base**n * (k + 2))
             if ratio >= 1:
-                k += 1
                 continue
             tail = first_omitted / (1 - ratio)
         if tail == 0 and partial == 0:
@@ -248,6 +252,4 @@ def dobinski_details(
             # e.g. a point mass at 0 with lam != 0: the limit is 0 but the
             # majorant stays positive, so no relative bound can be certified
             raise SeriesNotCertified("series terms are all zero; cannot certify a relative error")
-        k += 1
-        if k > 100_000:
-            raise SeriesNotCertified("series failed to certify convergence")
+    raise SeriesNotCertified(f"series failed to certify convergence within {_SERIES_TERM_CAP} terms")

@@ -97,10 +97,7 @@ def _check_stirling_transform(dist, n: int, k: int, lam: Fraction):
 
 def _check_lah_via_stirling(dist, n: int, k: int):
     left = prob_lah(dist, n, k)
-    right = sum(
-        (prob_stirling2(dist, l, k) * stirling1u(n, l) for l in range(k, n + 1)),
-        Fraction(0),
-    )
+    right = prob_hetero_stirling(dist, n, k, 1, Route.STIRLING_TRANSFORM)
     return left == right, left, right, None
 
 

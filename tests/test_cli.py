@@ -250,6 +250,21 @@ def test_dobinski_large_point(capsys):
     assert bound <= Fraction(1, 10**11)
 
 
+def test_dobinski_past_term_cap_exits_2_at_once():
+    # a subprocess with a timeout, so that an unbounded series loop fails here in
+    # seconds instead of stalling the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "heterobell", "dobinski", "--dist", "bernoulli:1/2",
+         "--n", "1", "--x", "100000"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "needs more than 5000 terms" in proc.stderr
+
+
 def test_table_out_file(capsys, tmp_path):
     target = tmp_path / "rows.json"
     code, out, _ = run_cli(

@@ -14,7 +14,9 @@ from heterobell import (
     dobinski_details,
     format_distribution,
     parse_distribution,
+    Route,
     prob_hetero_bell_poly,
+    prob_hetero_stirling,
     raw_moment,
     sum_deg_rising_moment,
     sum_raw_moment,
@@ -135,6 +137,14 @@ def test_moment_list_lookup_and_exhaustion():
         raw_moment(d, 3)
     with pytest.raises(MomentUnavailable):
         sum_raw_moment(d, 2, 3)
+    # every route reads moments up to order n for the whole row n, whatever k is
+    d = parse_distribution("moments:1,1/2,1/3")
+    half = Fraction(1, 2)
+    for route in Route:
+        # E[Y (Y + lam)] at lam = 1/2
+        assert prob_hetero_stirling(d, 2, 1, half, route) == Fraction(7, 12)
+        with pytest.raises(MomentUnavailable):
+            prob_hetero_stirling(d, 4, 3, half, route)
 
 
 def test_sum_moments_frozen_values():

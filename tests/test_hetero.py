@@ -11,6 +11,7 @@ from heterobell import (
     FiniteSupport,
     NonPositiveEvaluationPoint,
     Poisson,
+    Polynomial,
     Route,
     SeriesNotCertified,
     UnsupportedDistribution,
@@ -147,6 +148,11 @@ def test_routes_agree():
                         == base
                     )
                     assert prob_hetero_stirling(d, n, k, lam, Route.PARTIAL_BELL) == base
+                for route in Route:
+                    # the polynomial is the row of the route's own entries, which end at k = n
+                    entries = [prob_hetero_stirling(d, n, k, lam, route) for k in range(n + 2)]
+                    assert entries[n + 1] == 0
+                    assert prob_hetero_bell_poly(d, n, lam, route) == Polynomial(entries)
 
 
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -175,7 +181,21 @@ def test_negative_indices_rejected():
     with pytest.raises(ValueError):
         hetero_stirling(-1, 0, HALF)
     with pytest.raises(ValueError):
-        prob_hetero_stirling(BERN_HALF, 2, -1, HALF)
+        hetero_bell_poly(-1, 0)
+    for route in Route:
+        with pytest.raises(ValueError):
+            prob_hetero_stirling(BERN_HALF, 2, -1, HALF, route)
+        with pytest.raises(ValueError):
+            prob_hetero_stirling(BERN_HALF, -1, 0, HALF, route)
+        with pytest.raises(ValueError):
+            prob_hetero_bell_poly(BERN_HALF, -1, 0, route)
+
+
+def test_unknown_route_rejected():
+    with pytest.raises(ValueError):
+        prob_hetero_stirling(BERN_HALF, 2, 1, HALF, "direct")
+    with pytest.raises(ValueError):
+        prob_hetero_bell_poly(BERN_HALF, 2, HALF, None)
 
 
 def test_recurrence_polynomials_match_direct():
