@@ -81,4 +81,24 @@ from .triangles import (
 
 __version__ = "0.1.0"
 
+
+def clear_caches() -> None:
+    """Empty every memo of the package: the triangle rows, the moment rows and each lru_cache.
+
+    Every memo otherwise lives as long as the process.  Values computed
+    afterwards are equal to those before; only their cost is paid again.
+    """
+    import sys
+
+    with triangles._ROWS_LOCK:
+        triangles._ROWS.clear()
+    with distributions._SUM_MOMENTS_LOCK:
+        distributions._SUM_MOMENTS.clear()
+    for name, module in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -4,22 +4,47 @@ A distribution here is a small frozen value object that can produce the
 raw moment E[Y**n] as an exact rational.  On top of that sit the moments
 of i.i.d. partial sums S_k = Y_1 + ... + Y_k (S_0 = 0), computed by a
 cached binomial convolution, and their degenerate-rising-factorial
-counterparts.
+counterparts.  Each law has an integer scale sigma with sigma**n * E[Y**n]
+integral, so the convolution runs on the integers sigma**n * E[S_k**n] and
+a Fraction is built only for a value handed out.
 """
 from __future__ import annotations
 
+import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import RationalLike, binomial, format_rational, parse_rational
+from .arith import format_rational, parse_rational
 from .errors import MomentUnavailable, ParseError
 from .polynomial import deg_rising_poly
 from .triangles import stirling2
 
 
-@dataclass(frozen=True)
+def _law(cls):
+    """A frozen dataclass that hashes its fields once, on first use.
+
+    Laws are memo keys everywhere; a MomentList holds dozens of Fractions,
+    and rehashing them on every lookup dominated the cost of a cache hit.
+    """
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = _cached_hash
+    return cls
+
+
+def _cached_hash(self) -> int:
+    # the hash dataclass would give; it depends only on the numbers, so a
+    # cached value stays valid across pickle, copy and processes
+    try:
+        return self.__dict__["_hash"]
+    except KeyError:
+        h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        object.__setattr__(self, "_hash", h)
+        return h
+
+
+@_law
 class Bernoulli:
     p: Fraction
 
@@ -29,7 +54,7 @@ class Bernoulli:
             raise ValueError(f"Bernoulli parameter must lie in [0, 1], got {self.p}")
 
 
-@dataclass(frozen=True)
+@_law
 class Poisson:
     alpha: Fraction
 
@@ -39,7 +64,7 @@ class Poisson:
             raise ValueError(f"Poisson rate must be positive, got {self.alpha}")
 
 
-@dataclass(frozen=True)
+@_law
 class Constant:
     c: Fraction
 
@@ -47,7 +72,7 @@ class Constant:
         object.__setattr__(self, "c", Fraction(self.c))
 
 
-@dataclass(frozen=True)
+@_law
 class FiniteSupport:
     """Finitely supported law given as (value, probability) pairs.
 
@@ -73,7 +98,7 @@ class FiniteSupport:
         object.__setattr__(self, "pairs", tuple(sorted(merged.items())))
 
 
-@dataclass(frozen=True)
+@_law
 class MomentList:
     """Law known only through a finite list of raw moments, mu[0] = 1."""
 
@@ -113,37 +138,88 @@ def raw_moment(d: Distribution, n: int) -> Fraction:
     raise TypeError(f"not a distribution: {d!r}")
 
 
-# law -> rows k = 0, 1, ... of E[S_k**n] for n = 0, 1, ...; lists only ever grow
-_SUM_MOMENTS: dict[Distribution, list[list[Fraction]]] = {}
+# law -> (sigma, [sigma**i * E[Y**i] for i = 0, 1, ...], rows k = 0, 1, ... of
+# sigma**n * E[S_k**n] for n = 0, 1, ...), all int; the lists only ever grow
+_SUM_MOMENTS: dict[Distribution, tuple[int, list[int], list[list[int]]]] = {}
 _SUM_MOMENTS_LOCK = threading.Lock()
 
 
-def sum_raw_moment(d: Distribution, k: int, n: int) -> Fraction:
-    """E[S_k**n] for S_k the sum of k i.i.d. copies of Y.
+def _scale(d: Distribution) -> int:
+    """An integer sigma with sigma**i * E[Y**i] an integer for every i."""
+    match d:
+        case Bernoulli(p):
+            return p.denominator
+        case Poisson(alpha):
+            return alpha.denominator
+        case Constant(c):
+            return c.denominator
+        case FiniteSupport(pairs):
+            return math.lcm(*(p.denominator for _, p in pairs)) * math.lcm(*(v.denominator for v, _ in pairs))
+        case MomentList(mu):
+            return math.lcm(*(m.denominator for m in mu))
+    raise TypeError(f"not a distribution: {d!r}")
 
-    Row k is the binomial convolution of row k-1 with the raw moments of Y
-    (split off the last summand); a miss fills only the missing entries.
+
+def _sum_moment_rows(d: Distribution, k: int, n: int) -> tuple[int, list[list[int]]]:
+    """sigma and the rows of sigma**m * E[S_j**m], filled for j <= k and m <= n.
+
+    Row j is the binomial convolution of row j-1 with the scaled raw moments
+    of Y (split off the last summand); as sigma**m scales both sides alike, it
+    stays in integers.  A miss fills only the missing entries.
     """
     if k < 0 or n < 0:
         raise ValueError("indices must be >= 0")
-    rows = _SUM_MOMENTS.get(d)
-    if rows is not None and k < len(rows) and n < len(rows[k]):
-        return rows[k][n]
+    memo = _SUM_MOMENTS.get(d)
+    if memo is not None and k < len(memo[2]) and n < len(memo[2][k]):
+        return memo[0], memo[2]
     with _SUM_MOMENTS_LOCK:
-        rows = _SUM_MOMENTS.setdefault(d, [])
-        for kk in range(k + 1):
-            if kk == len(rows):
+        if d not in _SUM_MOMENTS:
+            _SUM_MOMENTS[d] = (_scale(d), [], [])
+        sigma, ys, rows = _SUM_MOMENTS[d]
+        while k and len(ys) <= n:
+            i = len(ys)
+            moment = raw_moment(d, i)
+            ys.append(moment.numerator * (sigma**i // moment.denominator))
+        # row lengths never grow with j, so the rows to fill are j = start..k
+        start = min(k + 1, len(rows))
+        while start and len(rows[start - 1]) <= n:
+            start -= 1
+        for j in range(start, k + 1):
+            if j == len(rows):
                 rows.append([])
-            row = rows[kk]
+            row = rows[j]
             while len(row) <= n:
-                nn = len(row)
-                if kk == 0:
-                    row.append(Fraction(1) if nn == 0 else Fraction(0))
+                m = len(row)
+                if j == 0:
+                    row.append(1 if m == 0 else 0)
                 else:
-                    prev = rows[kk - 1]
-                    terms = (binomial(nn, i) * raw_moment(d, i) * prev[nn - i] for i in range(nn + 1))
-                    row.append(sum(terms, Fraction(0)))
-        return rows[k][n]
+                    prev = rows[j - 1]
+                    row.append(sum(math.comb(m, i) * ys[i] * prev[m - i] for i in range(m + 1)))
+        return sigma, rows
+
+
+def sum_raw_moment(d: Distribution, k: int, n: int) -> Fraction:
+    """E[S_k**n] for S_k the sum of k i.i.d. copies of Y."""
+    sigma, rows = _sum_moment_rows(d, k, n)
+    return Fraction(rows[k][n], sigma**n)
+
+
+def scaled_sum_deg_rising_moments(
+    d: Distribution, ks: range, n: int, lam: Fraction
+) -> tuple[list[int], int]:
+    """Integers M and D with E<S_k>_{n,lam} = M[i] / D for k = ks[i]; ks is not empty.
+
+    With lam = a/b, b**n <x>_{n,lam} = prod_{r<n} (b*x + r*a) is expanded in
+    integers, and D = (b*sigma)**n.
+    """
+    a, b = lam.numerator, lam.denominator
+    coeffs = [1]  # of x**0, x**1, ... in b**r <x>_{r,lam}, for r = 0..n
+    for r in range(n):
+        coeffs = [r * a * c + b * c_left for c, c_left in zip(coeffs + [0], [0] + coeffs)]
+    sigma, rows = _sum_moment_rows(d, ks[-1], n)
+    weights = [c * sigma ** (n - i) for i, c in enumerate(coeffs)]
+    moments = [sum(w * m for w, m in zip(weights, rows[k])) for k in ks]
+    return moments, (b * sigma) ** n
 
 
 @lru_cache(maxsize=None)
@@ -156,8 +232,8 @@ def deg_rising_moment(d: Distribution, n: int, lam: Fraction) -> Fraction:
 @lru_cache(maxsize=None)
 def sum_deg_rising_moment(d: Distribution, k: int, n: int, lam: Fraction) -> Fraction:
     """E of the degenerate rising factorial of the partial sum S_k."""
-    poly = deg_rising_poly(n, Fraction(lam))
-    return sum((c * sum_raw_moment(d, k, i) for i, c in enumerate(poly.coeffs)), Fraction(0))
+    (moment,), scale = scaled_sum_deg_rising_moments(d, range(k, k + 1), n, Fraction(lam))
+    return Fraction(moment, scale)
 
 
 def support_bound(d: Distribution) -> Fraction | None:

@@ -19,6 +19,7 @@ from .arith import RationalLike, binomial, factorial
 from .distributions import (
     Distribution,
     deg_rising_moment,
+    scaled_sum_deg_rising_moments,
     sum_deg_rising_moment,
     support_bound,
 )
@@ -80,11 +81,14 @@ def prob_lah(d: Distribution, n: int, k: int) -> Fraction:
 def _row(d: Distribution, n: int, lam: Fraction, route: Route) -> Polynomial:
     """Row n of the chosen route, coefficient k for k = 0..n; entries with k > n vanish."""
     if route is Route.DIRECT:
-        # the paper's definition (1/k!) sum_j (-1)**(k-j) C(k, j) E<S_j>_{n,lam}
-        moments = [sum_deg_rising_moment(d, j, n, lam) for j in range(n + 1)]
+        # the paper's definition (1/k!) sum_j (-1)**(k-j) C(k, j) E<S_j>_{n,lam}, with
+        # E<S_j>_{n,lam} = moments[j] / scale summed in integers
+        moments, scale = scaled_sum_deg_rising_moments(d, range(n + 1), n, lam)
         return Polynomial(
-            sum(((-1) ** (k - j) * binomial(k, j) * moments[j] for j in range(k + 1)), Fraction(0))
-            / factorial(k)
+            Fraction(
+                sum((-1) ** (k - j) * binomial(k, j) * moments[j] for j in range(k + 1)),
+                factorial(k) * scale,
+            )
             for k in range(n + 1)
         )
     if route is Route.STIRLING_TRANSFORM:
@@ -164,6 +168,11 @@ def hetero_derivative(d: Distribution, n: int, lam: RationalLike, k: int) -> Pol
 _SERIES_TERM_CAP = 5_000  # the work grows about as x**3; x up to about 4,000 fits
 
 
+def _ln(q: Fraction) -> float:
+    """Natural logarithm of q > 0, also where float(q) would underflow or overflow."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
 @dataclass(frozen=True)
 class SeriesEvaluation:
     """Result of a truncated exponential-series evaluation."""
@@ -185,7 +194,8 @@ def dobinski_details(
     support bound B of |Y|, |E[<S_k>]| <= (k*B + (n-1)|lam|)**n, so the
     reported error bound is sound, not heuristic.  At most 5,000 terms are
     summed; a series that cannot certify within them raises SeriesNotCertified,
-    at once when the majorant still grows at the cap.
+    at once when the majorant still grows at the cap or its tail bound there
+    exceeds the target times a bound on every partial sum.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -205,11 +215,20 @@ def dobinski_details(
     # for the single float rounding at the end
     target = min(Fraction(rel_tol) / 2, Fraction(1, 4))
     # the majorant's ratio of term k+2 to term k+1, ((k+2)B+s)**n x / (((k+1)B+s)**n (k+2)),
-    # falls with k; if it is still >= 1 at the last k, no tail can ever be certified (a majorant
-    # that is 0, with base**n == 0, needs no tail)
+    # falls with k, and so does the tail bound once the ratio is below 1; if the ratio is still
+    # >= 1 at the last k, or the tail bound there is too large for any partial sum, no tail can
+    # ever be certified (a majorant that is 0, with base**n == 0, needs no tail)
     base = _SERIES_TERM_CAP * bound + spread
-    if base**n and (base + bound) ** n * x >= base**n * (_SERIES_TERM_CAP + 1):
-        raise SeriesNotCertified(f"series needs more than {_SERIES_TERM_CAP} terms at x = {x}")
+    if base**n:
+        ratio = (base + bound) ** n * x / (base**n * (_SERIES_TERM_CAP + 1))
+        # the tail bound after the last term, base**n x**cap / cap! / (1 - ratio), is the least
+        # the loop can reach, and base**n e**x bounds every |partial|; compared in logarithms,
+        # with a margin of e for the float rounding
+        if ratio >= 1 or (
+            _SERIES_TERM_CAP * _ln(x) - math.lgamma(_SERIES_TERM_CAP + 1) - _ln(1 - ratio)
+            > _ln(target) + float(x) + 1
+        ):
+            raise SeriesNotCertified(f"series needs more than {_SERIES_TERM_CAP} terms at x = {x}")
 
     partial = Fraction(0)
     weight = Fraction(1)  # x**k / k!

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -260,6 +261,24 @@ def test_dobinski_past_term_cap_exits_2_at_once():
         text=True,
         timeout=30,
     )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "needs more than 5000 terms" in proc.stderr
+
+
+def test_dobinski_uncertifiable_below_term_cap_exits_2_at_once():
+    # at x = 4999 the majorant still falls at the last term, but its tail there
+    # exceeds any partial sum the series can reach; the loop would run all
+    # 5,000 terms before refusing
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "heterobell", "dobinski", "--dist", "bernoulli:1/2",
+         "--n", "1", "--x", "4999"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert time.perf_counter() - start < 3
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "needs more than 5000 terms" in proc.stderr

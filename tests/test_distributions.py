@@ -1,7 +1,14 @@
+import ast
+import copy
+import importlib
+import os
+import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import heterobell
 from heterobell import (
     Bernoulli,
     Constant,
@@ -15,6 +22,8 @@ from heterobell import (
     format_distribution,
     parse_distribution,
     Route,
+    clear_caches,
+    hetero_stirling,
     prob_hetero_bell_poly,
     prob_hetero_stirling,
     raw_moment,
@@ -25,6 +34,7 @@ from heterobell import (
 
 from . import oracles
 from .oracles import BERN_THIRD, FS_ZERO_TWO
+from .test_hetero import _finite_laws, _rationals
 
 # Frozen Poisson raw moments, from the standalone recurrence script.
 POISSON_2_MOMENTS = [1, 2, 6, 22, 94, 454, 2430]
@@ -237,3 +247,101 @@ def test_support_bound():
     assert support_bound(FS_ZERO_TWO) == 2
     assert support_bound(Poisson(1)) is None
     assert support_bound(MomentList((Fraction(1), Fraction(1)))) is None
+
+
+# two spellings of each law; the first of each pair is the one format_distribution prints
+SPELLINGS = (
+    ("bernoulli:1/2", "bernoulli:2/4"),
+    ("poisson:3/2", "poisson:6/4"),
+    ("const:-2", "const:-4/2"),
+    ("finite:0:1/2,2:1/2", "finite:0:1/4,0:1/4,2:1/2"),
+    ("finite:0:1/2,2:1/2", "finite:2:1/2,0:1/2"),
+    ("moments:1,1/2,1/3", "moments:2/2,2/4,1/3"),
+)
+
+
+@pytest.mark.parametrize("texts", SPELLINGS)
+def test_equal_laws_hash_equal_and_survive_pickle_and_copy(texts):
+    law, other = (parse_distribution(t) for t in texts)
+    assert law == other and hash(law) == hash(other)
+    assert format_distribution(other) == texts[0]
+    # once with the hash not yet taken, once after
+    for taken in (False, True):
+        fresh = parse_distribution(texts[1])
+        if taken:
+            hash(fresh)
+        for twin in (pickle.loads(pickle.dumps(fresh)), copy.deepcopy(fresh)):
+            assert twin == law and hash(twin) == hash(law)
+            assert twin in {law} and {law: "hit"}[twin] == "hit"
+    assert parse_distribution(texts[1]) in {law}
+
+
+def test_law_hashes_its_fields_once(monkeypatch):
+    law = MomentList(tuple(Fraction(1, n + 1) for n in range(41)))
+    calls = []
+    plain = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda q: calls.append(q) or plain(q))
+    first = hash(law)
+    assert len(calls) == 41
+    assert all(hash(law) == first for _ in range(100))
+    assert len(calls) == 41
+
+
+@settings(max_examples=60, deadline=None)
+@given(_finite_laws(), _rationals, st.integers(0, 6), st.integers(0, 8))
+def test_integer_moment_engine_against_enumeration(d, lam, k, n):
+    # the same law as a list of its enumerated raw moments, with another scale sigma
+    listed = MomentList(tuple(oracles.finite_sum_moment(d.pairs, 1, i) for i in range(n + 1)))
+    rising = [oracles.finite_sum_moment(d.pairs, j, n, lam) for j in range(k + 1)]
+    raw = oracles.finite_sum_moment(d.pairs, k, n)
+    entry = oracles.prob_alternating(lambda j, _: rising[j], n, k)
+    for law in (d, listed):
+        clear_caches()  # each law from cold memos
+        assert sum_raw_moment(law, k, n) == raw
+        assert sum_deg_rising_moment(law, k, n, lam) == rising[k]
+        assert prob_hetero_stirling(law, n, k, lam, Route.DIRECT) == entry
+
+
+def _package_lru_caches():
+    """Every function decorated with lru_cache in the package's modules."""
+    package = os.path.dirname(heterobell.__file__)
+    caches = {}
+    for filename in sorted(os.listdir(package)):
+        # __init__ only re-exports, and importing __main__ would run the CLI
+        if not filename.endswith(".py") or filename.startswith("__"):
+            continue
+        with open(os.path.join(package, filename)) as fh:
+            tree = ast.parse(fh.read())
+        module = importlib.import_module(f"heterobell.{filename[:-3]}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and any(
+                "lru_cache" in ast.unparse(dec) for dec in node.decorator_list
+            ):
+                caches[f"{module.__name__}.{node.name}"] = getattr(module, node.name)
+    return caches
+
+
+def test_clear_caches_empties_every_memo():
+    lam = Fraction(-5, 7)
+    law = parse_distribution("finite:-1/2:1/3,3/2:2/3")
+
+    def compute():
+        return (
+            [prob_hetero_bell_poly(law, 6, lam, route) for route in Route],
+            prob_hetero_bell_poly(Poisson(Fraction(5, 4)), 5, lam),
+            heterobell.prob_stirling2(law, 5, 2),
+            heterobell.prob_lah(law, 5, 3),
+            hetero_stirling(7, 3, lam),
+            deg_rising_moment(law, 4, lam),
+            dobinski_details(law, 3, lam, 2).partial_sum,
+        )
+
+    before = compute()
+    caches = _package_lru_caches()
+    assert len(caches) == 8
+    assert all(cache.cache_info().currsize for cache in caches.values())
+    clear_caches()
+    assert {name: cache.cache_info().currsize for name, cache in caches.items()} == dict.fromkeys(caches, 0)
+    assert heterobell.triangles._ROWS == {}
+    assert heterobell.distributions._SUM_MOMENTS == {}
+    assert compute() == before

@@ -15,6 +15,7 @@ from heterobell import (
     Route,
     SeriesNotCertified,
     UnsupportedDistribution,
+    clear_caches,
     dobinski_details,
     hetero_bell_poly,
     hetero_derivative,
@@ -25,7 +26,9 @@ from heterobell import (
     prob_hetero_stirling,
     prob_lah,
     prob_stirling2,
+    raw_moment,
     stirling2,
+    triangles,
 )
 
 from . import oracles
@@ -175,6 +178,25 @@ def test_routes_agree_on_random_laws(d, lam, n):
         assert direct == oracles.prob_alternating(lambda j, _: moments[j], n, k)
         assert prob_hetero_stirling(d, n, k, lam, Route.STIRLING_TRANSFORM) == direct
         assert prob_hetero_stirling(d, n, k, lam, Route.PARTIAL_BELL) == direct
+
+
+def test_direct_row_is_integer_until_its_entries(monkeypatch):
+    n, lam = 12, Fraction(-13, 7)
+    finite = FiniteSupport(((Fraction(-3, 2), Fraction(1, 4)), (Fraction(5, 2), Fraction(3, 4))))
+    for d in (finite, Poisson(Fraction(5, 4))):
+        clear_caches()
+        for i in range(n + 1):
+            raw_moment(d, i)  # the law's own moments, which every route reads
+        calls = []
+        plain = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **kw: calls.append(a) or plain(cls, *a, **kw))
+        row = prob_hetero_bell_poly(d, n, lam, Route.DIRECT)
+        monkeypatch.undo()
+        # lam, then one Fraction per entry, which Polynomial converts once more
+        assert len(calls) <= 1 + 2 * (n + 1)
+        assert row == prob_hetero_bell_poly(d, n, lam, Route.PARTIAL_BELL)
+        # DIRECT reads no stirling1u row, which STIRLING_TRANSFORM weights by
+        assert (1, 0, 1) not in triangles._ROWS
 
 
 def test_negative_indices_rejected():
