@@ -9,7 +9,6 @@ computation routes to exact agreement.
 """
 
 from .arith import (
-    Rational,
     binomial,
     deg_rising_factorial,
     factorial,

@@ -14,8 +14,6 @@ from typing import Sequence, Union
 
 from .errors import ParseError, PartsMismatch
 
-# The exact scalar type used throughout the package.
-Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -39,6 +37,11 @@ def format_rational(q: RationalLike) -> str:
 
 def factorial(n: int) -> int:
     return math.factorial(n)
+
+
+def times(q: Fraction, m: int) -> int:
+    """q * m as an int, for an integer m that the denominator of q divides."""
+    return q.numerator * (m // q.denominator)
 
 
 def binomial(n: int, k: int) -> int:

@@ -139,29 +139,27 @@ def _common_parameters(read: dict, **extra) -> dict:
     }
 
 
+def _emit_rows(args, command: str, params: dict, key: str, values: list, csv_rows: list) -> int:
+    if args.format == "json":
+        _emit(_json_record({"command": command, "parameters": params, key: values}), args.out)
+    else:
+        buf = io.StringIO()
+        csv.writer(buf).writerows(csv_rows)
+        _emit(buf.getvalue(), args.out)
+    return 0
+
+
 def cmd_table(args) -> int:
     entry, read = _builder(TABLES, args.family, args)
     if args.nmax < 0:
         raise ParseError("--nmax must be >= 0")
     rows = [
-        [entry(n, k, *read.values()) for k in range(n + 1)]
+        [format_rational(entry(n, k, *read.values())) for k in range(n + 1)]
         for n in range(args.nmax + 1)
     ]
     params = _common_parameters(read, family=args.family, nmax=args.nmax, format=args.format)
-    if args.format == "json":
-        record = {
-            "command": "table",
-            "parameters": params,
-            "rows": [[format_rational(v) for v in row] for row in rows],
-        }
-        _emit(_json_record(record), args.out)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for n, row in enumerate(rows):
-            writer.writerow([n] + [format_rational(v) for v in row])
-        _emit(buf.getvalue(), args.out)
-    return 0
+    csv_rows = [[n] + row for n, row in enumerate(rows)]
+    return _emit_rows(args, "table", params, "rows", rows, csv_rows)
 
 
 def cmd_poly(args) -> int:
@@ -169,23 +167,10 @@ def cmd_poly(args) -> int:
     if args.n < 0:
         raise ParseError("--n must be >= 0")
     poly = build(args.n, *read.values())
-    coeffs = [poly.coeff(i) for i in range(args.n + 1)]
+    coeffs = [format_rational(poly.coeff(i)) for i in range(args.n + 1)]
     params = _common_parameters(read, kind=args.kind, n=args.n, format=args.format)
-    if args.format == "json":
-        record = {
-            "command": "poly",
-            "parameters": params,
-            "coefficients": [format_rational(c) for c in coeffs],
-        }
-        _emit(_json_record(record), args.out)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["power", "coefficient"])
-        for i, c in enumerate(coeffs):
-            writer.writerow([i, format_rational(c)])
-        _emit(buf.getvalue(), args.out)
-    return 0
+    csv_rows = [["power", "coefficient"], *enumerate(coeffs)]
+    return _emit_rows(args, "poly", params, "coefficients", coeffs, csv_rows)
 
 
 def cmd_verify(args) -> int:

@@ -11,14 +11,15 @@ a Fraction is built only for a value handed out.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable, Iterator
 
-from .arith import format_rational, parse_rational
+from .arith import format_rational, parse_rational, times
 from .errors import MomentUnavailable, ParseError
-from .polynomial import deg_rising_poly
 from .triangles import stirling2
 
 
@@ -144,7 +145,7 @@ _SUM_MOMENTS: dict[Distribution, tuple[int, list[int], list[list[int]]]] = {}
 _SUM_MOMENTS_LOCK = threading.Lock()
 
 
-def _scale(d: Distribution) -> int:
+def moment_scale(d: Distribution) -> int:
     """An integer sigma with sigma**i * E[Y**i] an integer for every i."""
     match d:
         case Bernoulli(p):
@@ -174,12 +175,11 @@ def _sum_moment_rows(d: Distribution, k: int, n: int) -> tuple[int, list[list[in
         return memo[0], memo[2]
     with _SUM_MOMENTS_LOCK:
         if d not in _SUM_MOMENTS:
-            _SUM_MOMENTS[d] = (_scale(d), [], [])
+            _SUM_MOMENTS[d] = (moment_scale(d), [], [])
         sigma, ys, rows = _SUM_MOMENTS[d]
         while k and len(ys) <= n:
             i = len(ys)
-            moment = raw_moment(d, i)
-            ys.append(moment.numerator * (sigma**i // moment.denominator))
+            ys.append(times(raw_moment(d, i), sigma**i))
         # row lengths never grow with j, so the rows to fill are j = start..k
         start = min(k + 1, len(rows))
         while start and len(rows[start - 1]) <= n:
@@ -205,34 +205,52 @@ def sum_raw_moment(d: Distribution, k: int, n: int) -> Fraction:
 
 
 def scaled_sum_deg_rising_moments(
-    d: Distribution, ks: range, n: int, lam: Fraction
-) -> tuple[list[int], int]:
-    """Integers M and D with E<S_k>_{n,lam} = M[i] / D for k = ks[i]; ks is not empty.
+    d: Distribution, ks: Iterable[int], n: int, lam: Fraction
+) -> tuple[Iterator[int], int]:
+    """Integers M_k, yielded lazily for k in ks, and D with E<S_k>_{n,lam} = M_k / D.
 
     With lam = a/b, b**n <x>_{n,lam} = prod_{r<n} (b*x + r*a) is expanded in
-    integers, and D = (b*sigma)**n.
+    integers once per call, and D = (b*sigma)**n.
     """
-    a, b = lam.numerator, lam.denominator
+    a, b, sigma = lam.numerator, lam.denominator, moment_scale(d)
     coeffs = [1]  # of x**0, x**1, ... in b**r <x>_{r,lam}, for r = 0..n
     for r in range(n):
         coeffs = [r * a * c + b * c_left for c, c_left in zip(coeffs + [0], [0] + coeffs)]
-    sigma, rows = _sum_moment_rows(d, ks[-1], n)
     weights = [c * sigma ** (n - i) for i, c in enumerate(coeffs)]
-    moments = [sum(w * m for w, m in zip(weights, rows[k])) for k in ks]
+    moments = (sum(map(operator.mul, weights, _sum_moment_rows(d, k, n)[1][k])) for k in ks)
     return moments, (b * sigma) ** n
+
+
+def scaled_deg_rising_moments(d: Distribution, n: int, lam: Fraction) -> tuple[list[int], int]:
+    """Integers u and c with E<Y>_{m,lam} = u[m] / c**m for m = 0..n; c = b*sigma for lam = a/b.
+
+    Apart from the partial-sum engine: each b**m <x>_{m,lam} is its predecessor times
+    (b*x + (m-1)*a), updated in place, and u[m] its dot product with sigma**i * E[Y**i].
+    """
+    if n < 0:
+        raise ValueError("moment order must be >= 0")
+    a, b, sigma = lam.numerator, lam.denominator, moment_scale(d)
+    ys = [times(raw_moment(d, i), sigma**i) for i in range(n + 1)]
+    poly, us = [1] + [0] * n, [1]
+    for m in range(1, n + 1):
+        for i in range(m, 0, -1):
+            poly[i] = b * poly[i - 1] + (m - 1) * a * poly[i]
+        poly[0] *= (m - 1) * a
+        us.append(sum(poly[i] * sigma ** (m - i) * ys[i] for i in range(m + 1)))
+    return us, b * sigma
 
 
 @lru_cache(maxsize=None)
 def deg_rising_moment(d: Distribution, n: int, lam: Fraction) -> Fraction:
     """E of the degenerate rising factorial of Y itself."""
-    poly = deg_rising_poly(n, Fraction(lam))
-    return sum((c * raw_moment(d, i) for i, c in enumerate(poly.coeffs)), Fraction(0))
+    us, scale = scaled_deg_rising_moments(d, n, Fraction(lam))
+    return Fraction(us[n], scale**n)
 
 
 @lru_cache(maxsize=None)
 def sum_deg_rising_moment(d: Distribution, k: int, n: int, lam: Fraction) -> Fraction:
     """E of the degenerate rising factorial of the partial sum S_k."""
-    (moment,), scale = scaled_sum_deg_rising_moments(d, range(k, k + 1), n, Fraction(lam))
+    (moment,), scale = scaled_sum_deg_rising_moments(d, (k,), n, Fraction(lam))
     return Fraction(moment, scale)
 
 

@@ -4,23 +4,24 @@ The heterogeneous family interpolates, through a deformation parameter
 lam, between the Stirling-2/Bell world at lam = 0 and the Lah world at
 lam = 1.  Probabilistic versions replace the plain integer argument by
 the i.i.d. partial sums of a random variable Y and take expectations;
-they are computable along three independent routes, which the test and
-verification layers hold to exact agreement.
+they are computable along three independent routes, each in integers over
+one denominator, which the test and verification layers hold to exact agreement.
 """
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import RationalLike, binomial, factorial
+from .arith import RationalLike, binomial, factorial, times
 from .distributions import (
     Distribution,
-    deg_rising_moment,
+    moment_scale,
+    scaled_deg_rising_moments,
     scaled_sum_deg_rising_moments,
-    sum_deg_rising_moment,
     support_bound,
 )
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
     UnsupportedDistribution,
 )
 from .polynomial import Polynomial
-from .triangles import partial_bell, stirling1u, triangle_entry
+from .triangles import stirling1u, triangle_entry
 
 
 class Route(enum.Enum):
@@ -84,6 +85,7 @@ def _row(d: Distribution, n: int, lam: Fraction, route: Route) -> Polynomial:
         # the paper's definition (1/k!) sum_j (-1)**(k-j) C(k, j) E<S_j>_{n,lam}, with
         # E<S_j>_{n,lam} = moments[j] / scale summed in integers
         moments, scale = scaled_sum_deg_rising_moments(d, range(n + 1), n, lam)
+        moments = list(moments)
         return Polynomial(
             Fraction(
                 sum((-1) ** (k - j) * binomial(k, j) * moments[j] for j in range(k + 1)),
@@ -92,13 +94,36 @@ def _row(d: Distribution, n: int, lam: Fraction, route: Route) -> Polynomial:
             for k in range(n + 1)
         )
     if route is Route.STIRLING_TRANSFORM:
-        return Polynomial(
-            sum(prob_stirling2(d, l, k) * stirling1u(n, l) * lam ** (n - l) for l in range(k, n + 1))
-            for k in range(n + 1)
-        )
+        # sum_l prob_stirling2 (DIRECT at lam = 0; an integer over k! sigma**l) stirling1u lam**(n-l)
+        a, b, sigma = lam.numerator, lam.denominator, moment_scale(d)
+        weights = [stirling1u(n, l) * a ** (n - l) * b**l for l in range(n + 1)]
+        entries = []
+        for k in range(n + 1):
+            den = factorial(k) * sigma**n
+            total = sum(times(prob_stirling2(d, l, k), den) * weights[l] for l in range(k, n + 1))
+            entries.append(Fraction(total, den * b**n))
+        return Polynomial(entries)
     # PARTIAL_BELL: B_{n,k} of the single-copy moments E<Y>_{m,lam}, m = 1..n
-    moments = [deg_rising_moment(d, m, lam) for m in range(1, n + 1)]
-    return Polynomial(partial_bell(n, k, moments) for k in range(n + 1))
+    moments, scale = scaled_deg_rising_moments(d, n, lam)
+    return Polynomial(Fraction(v, scale**n) for v in _scaled_bell_rows(moments, n)[n])
+
+
+def _scaled_bell_rows(us: list[int], n: int) -> list[list[int]]:
+    """Rows m = 0..n of c**m B_{m,k}(x_1, x_2, ...), k = 0..m, given u_i = c**i x_i.
+
+    The top-element recurrence B_{m,k} = sum_i C(m-1, i-1) x_i B_{m-i,k-1} (Comtet,
+    Advanced Combinatorics, 1974, 3.3), on row m as a polynomial Q_m in t:
+    Q_m = t sum_i C(m-1, i-1) u_i Q_{m-i}.
+    """
+    rows = [[1]]
+    for m in range(1, n + 1):
+        row = [0] * (m + 1)
+        for i in range(1, m + 1):
+            weight = binomial(m - 1, i - 1) * us[i]
+            for k, v in enumerate(rows[m - i]):
+                row[k + 1] += weight * v
+        rows.append(row)
+    return rows
 
 
 def prob_hetero_stirling(
@@ -130,21 +155,14 @@ def prob_hetero_bell_poly(
 def prob_hetero_bell_recurrence(d: Distribution, n_max: int, lam: RationalLike) -> list[Polynomial]:
     """Polynomials of order 0..n_max built by the moment-weighted recurrence.
 
-    Each step multiplies by x a binomial convolution of single-copy
-    degenerate rising moments against the earlier polynomials; an
-    independent route to the same family as prob_hetero_bell_poly.
+    Each step multiplies by x a binomial convolution of single-copy degenerate rising moments
+    against the earlier polynomials: the loop of the PARTIAL_BELL route, independent of DIRECT.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    lam = Fraction(lam)
-    x = Polynomial.x()
-    out = [Polynomial.one()]
-    for n in range(n_max):
-        acc = Polynomial.zero()
-        for k in range(n + 1):
-            acc = acc + binomial(n, k) * deg_rising_moment(d, k + 1, lam) * out[n - k]
-        out.append(x * acc)
-    return out
+    moments, scale = scaled_deg_rising_moments(d, n_max, Fraction(lam))
+    rows = _scaled_bell_rows(moments, n_max)
+    return [Polynomial(Fraction(v, scale**n) for v in row) for n, row in enumerate(rows)]
 
 
 def hetero_derivative(d: Distribution, n: int, lam: RationalLike, k: int) -> Polynomial:
@@ -165,7 +183,7 @@ def hetero_derivative(d: Distribution, n: int, lam: RationalLike, k: int) -> Pol
     return factorial(k) * acc
 
 
-_SERIES_TERM_CAP = 5_000  # the work grows about as x**3; x up to about 4,000 fits
+_SERIES_TERM_CAP = 5_000  # x up to about 4,500 fits at n = 1
 
 
 def _ln(q: Fraction) -> float:
@@ -189,7 +207,8 @@ def dobinski_details(
     """Evaluate the order-n polynomial at x > 0 through its Dobinski-type series.
 
     The series is e**(-x) sum_k E[<S_k>] x**k / k! with degenerate rising
-    factorials inside the expectation.  Terms are summed exactly; the tail
+    factorials inside the expectation.  Terms come from the partial-sum engine
+    and are summed exactly, in integers over one denominator; the tail
     after truncation is dominated by a geometric majorant built from a
     support bound B of |Y|, |E[<S_k>]| <= (k*B + (n-1)|lam|)**n, so the
     reported error bound is sound, not heuristic.  At most 5,000 terms are
@@ -201,9 +220,7 @@ def dobinski_details(
         raise ValueError("n must be >= 0")
     bound = support_bound(d)
     if bound is None:
-        raise UnsupportedDistribution(
-            "series evaluation needs a bounded-support distribution"
-        )
+        raise UnsupportedDistribution("series evaluation needs a bounded-support distribution")
     x = Fraction(x)
     if x <= 0:
         raise NonPositiveEvaluationPoint(f"evaluation point must be > 0, got {x}")
@@ -230,27 +247,32 @@ def dobinski_details(
         ):
             raise SeriesNotCertified(f"series needs more than {_SERIES_TERM_CAP} terms at x = {x}")
 
-    partial = Fraction(0)
-    weight = Fraction(1)  # x**k / k!
-    any_term = False
-    for k in range(_SERIES_TERM_CAP):
-        term = sum_deg_rising_moment(d, k, n, lam) * weight
-        any_term = any_term or term != 0
-        partial += term
-        weight *= x / (k + 1)
-        base = (k + 1) * bound + spread
-        first_omitted = base**n * weight
-        if first_omitted == 0:
-            tail = Fraction(0)
-        else:
-            ratio = (base + bound) ** n * x / (base**n * (k + 2))
-            if ratio >= 1:
-                continue
-            tail = first_omitted / (1 - ratio)
-        if tail == 0 and partial == 0:
-            # identically zero series
-            return SeriesEvaluation(0.0, k + 1, partial, 0.0)
-        if partial != 0 and tail <= target * abs(partial):
+    # for x = p/q and E<S_k>_{n,lam} = M_k / scale, terms 0..k sum to numer / (k! q**k scale)
+    p, q = x.numerator, x.denominator
+    moments, scale = scaled_sum_deg_rising_moments(d, itertools.count(), n, lam)
+    unit = math.lcm(bound.denominator, spread.denominator)
+    b_scaled, s_scaled = int(bound * unit), int(spread * unit)
+    numer, power, any_term = 0, 1, False
+    for k, moment in zip(range(_SERIES_TERM_CAP), moments):
+        any_term = any_term or moment != 0
+        numer = numer * k * q + moment * power
+        power *= p  # p**(k+1)
+        base_scaled = (k + 1) * b_scaled + s_scaled  # unit * base
+        # the majorant's ratio of term k+2 to term k+1 is ratio_num / ratio_den
+        ratio_num, ratio_den = (base_scaled + b_scaled) ** n * p, base_scaled**n * q * (k + 2)
+        if base_scaled**n and ratio_num >= ratio_den:
+            continue
+        # tail = base**n x**(k+1) / (k+1)! / (1 - ratio) = tail_num / (unit**n q**(k+1) (k+1)! gap);
+        # a majorant of 0 (base**n == 0, so ratio_num == ratio_den == 0) has tail 0
+        tail_num, gap = base_scaled**n * power * ratio_den, (ratio_den - ratio_num) or 1
+        if tail_num == 0 and numer == 0:  # identically zero series
+            return SeriesEvaluation(0.0, k + 1, Fraction(0), 0.0)
+        # tail <= target |partial|, cross-multiplied and with k! q**k cancelled
+        if numer != 0 and tail_num * target.denominator * scale <= (
+            target.numerator * abs(numer) * unit**n * q * (k + 1) * gap
+        ):
+            partial = Fraction(numer, factorial(k) * q**k * scale)
+            tail = Fraction(tail_num, unit**n * q ** (k + 1) * factorial(k + 1) * gap)
             # partial = m * 2**s with 1/2 < |m| < 2 exactly; 2**s folds into the exponent
             # of e**(-x), and a value past about e**(+-700) is refused, not rounded to inf or 0
             s = abs(partial.numerator).bit_length() - partial.denominator.bit_length()

@@ -103,17 +103,10 @@ def _check_lah_via_stirling(dist, n: int, k: int):
 
 def _check_lah_lambda_free(dist, n: int, k: int, lambdas: Sequence[Fraction]):
     left = prob_lah(dist, n, k)
-    rights = []
-    for lam in lambdas:
-        rights.append(
-            sum(
-                (
-                    prob_hetero_stirling(dist, l, k, lam) * deg_stirling1(n, l, lam)
-                    for l in range(k, n + 1)
-                ),
-                Fraction(0),
-            )
-        )
+    rights = [
+        sum(prob_hetero_stirling(dist, l, k, lam) * deg_stirling1(n, l, lam) for l in range(k, n + 1))
+        for lam in lambdas
+    ]
     return all(r == left for r in rights), left, rights, None
 
 

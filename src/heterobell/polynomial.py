@@ -17,7 +17,7 @@ class Polynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -27,14 +27,6 @@ class Polynomial:
     @classmethod
     def zero(cls) -> "Polynomial":
         return cls(())
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls((0, 1))
 
     # -- structure ---------------------------------------------------------
 
@@ -140,7 +132,7 @@ def deg_rising_poly(n: int, lam: Fraction) -> Polynomial:
     if n < 0:
         raise ValueError("deg_rising_poly needs n >= 0")
     lam = Fraction(lam)
-    out = Polynomial.one()
+    out = Polynomial((1,))
     for i in range(n):
         out = out * Polynomial((i * lam, 1))
     return out

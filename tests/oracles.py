@@ -15,7 +15,21 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from heterobell import Bernoulli, Constant, FiniteSupport, MomentList, Poisson
+from heterobell import (
+    Bernoulli,
+    Constant,
+    FiniteSupport,
+    MomentList,
+    NonPositiveEvaluationPoint,
+    ParseError,
+    Poisson,
+    SeriesEvaluation,
+    SeriesNotCertified,
+    UnsupportedDistribution,
+    sum_deg_rising_moment,
+    support_bound,
+)
+from heterobell.hetero import _SERIES_TERM_CAP, _ln
 
 
 def stirling2_rec(n: int, k: int, _memo={}) -> int:
@@ -243,6 +257,92 @@ def finite_expect_monomials(terms, arity: int, pairs) -> Fraction:
             val += term
         acc += pr * val
     return acc
+
+
+def dobinski_fraction(d, n: int, lam, x, rel_tol: float = 1e-12) -> SeriesEvaluation:
+    """The Dobinski-type series with its partial sum and weight x**k / k! in Fraction.
+
+    The loop of hetero.dobinski_details before it moved to integers, term by
+    term from sum_deg_rising_moment; the package holds the partial sum as an
+    integer over k! q**k (b sigma)**n for x = p/q and tests its tail by
+    cross-multiplying.  Both must give identical results, or raise the same
+    exception.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    bound = support_bound(d)
+    if bound is None:
+        raise UnsupportedDistribution(
+            "series evaluation needs a bounded-support distribution"
+        )
+    x = Fraction(x)
+    if x <= 0:
+        raise NonPositiveEvaluationPoint(f"evaluation point must be > 0, got {x}")
+    if not 0 < rel_tol < math.inf:
+        raise ParseError(f"rel_tol must be positive and finite, got {rel_tol!r}")
+    lam = Fraction(lam)
+    spread = (n - 1) * abs(lam) if n >= 1 else Fraction(0)
+    # stop once the truncation alone is well under rel_tol, leaving room
+    # for the single float rounding at the end
+    target = min(Fraction(rel_tol) / 2, Fraction(1, 4))
+    # the majorant's ratio of term k+2 to term k+1, ((k+2)B+s)**n x / (((k+1)B+s)**n (k+2)),
+    # falls with k, and so does the tail bound once the ratio is below 1; if the ratio is still
+    # >= 1 at the last k, or the tail bound there is too large for any partial sum, no tail can
+    # ever be certified (a majorant that is 0, with base**n == 0, needs no tail)
+    base = _SERIES_TERM_CAP * bound + spread
+    if base**n:
+        ratio = (base + bound) ** n * x / (base**n * (_SERIES_TERM_CAP + 1))
+        # the tail bound after the last term, base**n x**cap / cap! / (1 - ratio), is the least
+        # the loop can reach, and base**n e**x bounds every |partial|; compared in logarithms,
+        # with a margin of e for the float rounding
+        if ratio >= 1 or (
+            _SERIES_TERM_CAP * _ln(x) - math.lgamma(_SERIES_TERM_CAP + 1) - _ln(1 - ratio)
+            > _ln(target) + float(x) + 1
+        ):
+            raise SeriesNotCertified(f"series needs more than {_SERIES_TERM_CAP} terms at x = {x}")
+
+    partial = Fraction(0)
+    weight = Fraction(1)  # x**k / k!
+    any_term = False
+    for k in range(_SERIES_TERM_CAP):
+        term = sum_deg_rising_moment(d, k, n, lam) * weight
+        any_term = any_term or term != 0
+        partial += term
+        weight *= x / (k + 1)
+        base = (k + 1) * bound + spread
+        first_omitted = base**n * weight
+        if first_omitted == 0:
+            tail = Fraction(0)
+        else:
+            ratio = (base + bound) ** n * x / (base**n * (k + 2))
+            if ratio >= 1:
+                continue
+            tail = first_omitted / (1 - ratio)
+        if tail == 0 and partial == 0:
+            # identically zero series
+            return SeriesEvaluation(0.0, k + 1, partial, 0.0)
+        if partial != 0 and tail <= target * abs(partial):
+            # partial = m * 2**s with 1/2 < |m| < 2 exactly; 2**s folds into the exponent
+            # of e**(-x), and a value past about e**(+-700) is refused, not rounded to inf or 0
+            s = abs(partial.numerator).bit_length() - partial.denominator.bit_length()
+            exponent = s * math.log(2) - float(x)
+            if abs(exponent) > 700:
+                raise SeriesNotCertified(f"series value e**{exponent:.6g} is past the float range")
+            value = float(partial / Fraction(2) ** s) * math.exp(exponent)
+            # allowance: float rounding of m, exp and the product, the rounding
+            # of the exponent, and its shift when x is not exactly representable
+            rel = (
+                float(tail / (abs(partial) - tail))
+                + 1e-15
+                + 2.0**-51 * (abs(s * math.log(2)) + abs(float(x)))
+                + 1.01 * abs(float(Fraction(float(x)) - x))
+            )
+            return SeriesEvaluation(value, k + 1, partial, rel)
+        if not any_term and k >= 64 + 4 * n:
+            # e.g. a point mass at 0 with lam != 0: the limit is 0 but the
+            # majorant stays positive, so no relative bound can be certified
+            raise SeriesNotCertified("series terms are all zero; cannot certify a relative error")
+    raise SeriesNotCertified(f"series failed to certify convergence within {_SERIES_TERM_CAP} terms")
 
 
 # Common laws reused across test modules.

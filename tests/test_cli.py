@@ -284,6 +284,28 @@ def test_dobinski_uncertifiable_below_term_cap_exits_2_at_once():
     assert "needs more than 5000 terms" in proc.stderr
 
 
+@pytest.mark.parametrize("x, code", [("4510", 2), ("4000", 0)])
+def test_dobinski_long_series_runs_in_seconds(x, code):
+    # x = 4510 passes the early refusal but cannot certify, so it sums all 5,000
+    # terms before exiting 2; x = 4000 certifies after 4,468 terms
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "heterobell", "dobinski", "--dist", "bernoulli:1/2",
+         "--n", "1", "--x", x],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert time.perf_counter() - start < 3
+    assert proc.returncode == code
+    if code:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "within 5000 terms" in proc.stderr
+    else:
+        assert proc.stderr == "" and json.loads(proc.stdout)["terms"] == 4468
+
+
 def test_table_out_file(capsys, tmp_path):
     target = tmp_path / "rows.json"
     code, out, _ = run_cli(

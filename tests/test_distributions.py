@@ -333,6 +333,9 @@ def test_clear_caches_empties_every_memo():
             heterobell.prob_lah(law, 5, 3),
             hetero_stirling(7, 3, lam),
             deg_rising_moment(law, 4, lam),
+            # neither the routes nor the series read these two memos
+            sum_deg_rising_moment(law, 3, 4, lam),
+            heterobell.deg_rising_poly(4, lam),
             dobinski_details(law, 3, lam, 2).partial_sum,
         )
 

@@ -9,6 +9,8 @@ from heterobell import (
     Bernoulli,
     Constant,
     FiniteSupport,
+    MomentList,
+    MomentUnavailable,
     NonPositiveEvaluationPoint,
     Poisson,
     Polynomial,
@@ -16,7 +18,9 @@ from heterobell import (
     SeriesNotCertified,
     UnsupportedDistribution,
     clear_caches,
+    distributions,
     dobinski_details,
+    hetero,
     hetero_bell_poly,
     hetero_derivative,
     hetero_stirling,
@@ -173,30 +177,95 @@ def _finite_laws(draw):
 @given(_finite_laws(), _rationals, st.integers(0, 6))
 def test_routes_agree_on_random_laws(d, lam, n):
     moments = [oracles.finite_sum_moment(d.pairs, j, n, lam) for j in range(n + 1)]
-    for k in range(n + 1):
-        direct = prob_hetero_stirling(d, n, k, lam, Route.DIRECT)
-        assert direct == oracles.prob_alternating(lambda j, _: moments[j], n, k)
-        assert prob_hetero_stirling(d, n, k, lam, Route.STIRLING_TRANSFORM) == direct
-        assert prob_hetero_stirling(d, n, k, lam, Route.PARTIAL_BELL) == direct
+    raw = [oracles.finite_sum_moment(d.pairs, 1, i) for i in range(n + 1)]
+    # the law itself and its spelling as the list of its raw moments 0..n
+    for law in (d, MomentList(tuple(raw))):
+        recurrence = prob_hetero_bell_recurrence(law, n, lam)[n]
+        for k in range(n + 1):
+            want = oracles.prob_alternating(lambda j, _: moments[j], n, k)
+            for route in Route:
+                assert prob_hetero_stirling(law, n, k, lam, route) == want
+            assert recurrence.coeff(k) == want
+    if n:
+        # one moment too short for order n, on every route and the recurrence
+        short = MomentList(tuple(raw[:n]))
+        for route in Route:
+            with pytest.raises(MomentUnavailable):
+                prob_hetero_bell_poly(short, n, lam, route)
+        with pytest.raises(MomentUnavailable):
+            prob_hetero_bell_recurrence(short, n, lam)
+
+
+_COUNTED_N, _COUNTED_LAM = 12, Fraction(-13, 7)
+_COUNTED_LAWS = (
+    FiniteSupport(((Fraction(-3, 2), Fraction(1, 4)), (Fraction(5, 2), Fraction(3, 4)))),
+    Poisson(Fraction(5, 4)),
+)
+
+
+def _warm_raw_moments(d, n):
+    clear_caches()
+    for i in range(n + 1):
+        raw_moment(d, i)  # the law's own moments, which every route reads
+
+
+def _count_fractions(monkeypatch, call):
+    """call() and the number of Fraction constructions it made."""
+    calls = []
+    plain = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **kw: calls.append(a) or plain(cls, *a, **kw))
+    try:
+        return call(), len(calls)
+    finally:
+        monkeypatch.undo()
 
 
 def test_direct_row_is_integer_until_its_entries(monkeypatch):
-    n, lam = 12, Fraction(-13, 7)
-    finite = FiniteSupport(((Fraction(-3, 2), Fraction(1, 4)), (Fraction(5, 2), Fraction(3, 4))))
-    for d in (finite, Poisson(Fraction(5, 4))):
-        clear_caches()
-        for i in range(n + 1):
-            raw_moment(d, i)  # the law's own moments, which every route reads
-        calls = []
-        plain = Fraction.__new__
-        monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **kw: calls.append(a) or plain(cls, *a, **kw))
-        row = prob_hetero_bell_poly(d, n, lam, Route.DIRECT)
-        monkeypatch.undo()
-        # lam, then one Fraction per entry, which Polynomial converts once more
-        assert len(calls) <= 1 + 2 * (n + 1)
+    n, lam = _COUNTED_N, _COUNTED_LAM
+
+    def no_single_copy_moments(*args):
+        raise AssertionError("DIRECT read the single-copy moments")
+
+    for d in _COUNTED_LAWS:
+        _warm_raw_moments(d, n)
+        monkeypatch.setattr(hetero, "scaled_deg_rising_moments", no_single_copy_moments)
+        row, built = _count_fractions(monkeypatch, lambda: prob_hetero_bell_poly(d, n, lam, Route.DIRECT))
+        # lam, then one Fraction per entry, which Polynomial keeps
+        assert built <= 1 + (n + 1)
         assert row == prob_hetero_bell_poly(d, n, lam, Route.PARTIAL_BELL)
         # DIRECT reads no stirling1u row, which STIRLING_TRANSFORM weights by
         assert (1, 0, 1) not in triangles._ROWS
+
+
+def test_partial_bell_row_and_recurrence_are_integer_until_their_entries(monkeypatch):
+    n, lam = _COUNTED_N, _COUNTED_LAM
+    for d in _COUNTED_LAWS:
+        _warm_raw_moments(d, n)
+        row, built = _count_fractions(monkeypatch, lambda: prob_hetero_bell_poly(d, n, lam, Route.PARTIAL_BELL))
+        assert built <= 1 + (n + 1)
+        # single-copy moments only: the partial-sum engine is never filled
+        assert distributions._SUM_MOMENTS == {}
+        polys, built = _count_fractions(monkeypatch, lambda: prob_hetero_bell_recurrence(d, n, lam))
+        # lam, then one Fraction per coefficient of orders 0..n
+        assert built <= 1 + (n + 1) * (n + 2) // 2
+        assert distributions._SUM_MOMENTS == {}
+        assert polys[n] == row == prob_hetero_bell_poly(d, n, lam, Route.DIRECT)
+
+
+def test_stirling_transform_row_is_integer_until_its_entries(monkeypatch):
+    n, lam = _COUNTED_N, _COUNTED_LAM
+    for d in _COUNTED_LAWS:
+        _warm_raw_moments(d, n)
+        # the lam = 0 entries the route reads, each a Fraction of the DIRECT row
+        for l in range(n + 1):
+            for k in range(l + 1):
+                prob_stirling2(d, l, k)
+        row, built = _count_fractions(
+            monkeypatch, lambda: prob_hetero_bell_poly(d, n, lam, Route.STIRLING_TRANSFORM)
+        )
+        assert built <= 1 + (n + 1)
+        assert (1, 0, 1) in triangles._ROWS  # weighted by the stirling1u row
+        assert row == prob_hetero_bell_poly(d, n, lam, Route.DIRECT)
 
 
 def test_negative_indices_rejected():
@@ -311,3 +380,52 @@ def test_dobinski_large_nondyadic_point():
     r = dobinski_details(BERN_HALF, 3, HALF, x)
     assert abs(Fraction(r.value) - exact) <= Fraction(r.rel_bound) * abs(exact)
     assert math.isfinite(r.value)
+
+
+def _series_outcome(evaluate, *args):
+    try:
+        r = evaluate(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+    return r.value, r.terms_used, r.partial_sum, r.rel_bound
+
+
+_BOUNDED_LAWS = (
+    CONST_ONE,
+    Constant(Fraction(-5, 2)),
+    Constant(0),
+    BERN_HALF,
+    BERN_THIRD,
+    FS_ZERO_TWO,
+    FiniteSupport(((Fraction(-3, 2), Fraction(1, 4)), (Fraction(5, 2), Fraction(3, 4)))),
+)
+
+
+def test_dobinski_matches_fraction_oracle():
+    clear_caches()
+    cases = [
+        (d, n, lam, x, tol)
+        for d in _BOUNDED_LAWS
+        for lam in (Fraction(0), HALF, Fraction(1), Fraction(-13, 7))
+        for n in (0, 1, 2, 3, 5, 8)
+        for x in (HALF, Fraction(7, 3), Fraction(10), Fraction(50, 3))
+        for tol in (1e-12, 1e-6)
+    ]
+    # the zero series, an all-zero series that cannot certify, and values past the float range
+    cases += [
+        (Constant(0), 2, Fraction(0), Fraction(1), 1e-12),
+        (Constant(0), 2, HALF, Fraction(1), 1e-12),
+        (Constant(10**310), 1, Fraction(0), Fraction(1), 1e-12),
+        (Constant(10**300), 1, Fraction(0), Fraction(1), 1e-12),
+        (BERN_HALF, 1, Fraction(0), Fraction(1, 10**400), 1e-12),
+    ]
+    outcomes = set()
+    for case in cases:
+        got = _series_outcome(dobinski_details, *case)
+        assert got == _series_outcome(oracles.dobinski_fraction, *case), case
+        outcomes.add(got if isinstance(got, type) else got[2] == 0)
+    assert outcomes == {True, False, SeriesNotCertified}
+    # the terms come from the partial-sum engine, not from the rows they are checked against
+    clear_caches()
+    dobinski_details(FS_ZERO_TWO, 5, HALF, Fraction(7, 3))
+    assert hetero._row.cache_info().currsize == 0
