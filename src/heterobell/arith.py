@@ -1,9 +1,9 @@
 """Exact scalar combinatorics.
 
-Everything here is computed over arbitrary-precision rationals
-(`fractions.Fraction`); nothing ever rounds.  Integer-valued quantities
-(factorials, binomials) are returned as plain ints, which mix freely
-with Fraction arithmetic.
+Nothing here ever rounds.  Integer-valued quantities (factorials,
+binomials) are returned as plain ints, which mix freely with Fraction
+arithmetic.  The degenerate rising factorial multiplies integers over the
+common denominator of its arguments and builds one Fraction at the end.
 """
 from __future__ import annotations
 
@@ -70,9 +70,9 @@ def deg_rising_factorial(x: RationalLike, n: int, lam: RationalLike) -> Fraction
     """
     if n < 0:
         raise ValueError("deg_rising_factorial needs n >= 0")
-    x = Fraction(x)
-    lam = Fraction(lam)
-    out = Fraction(1)
+    # x = p/q, lam = a/b: the product of (b*p + i*a*q) over (b*q)**n
+    start, step = lam.denominator * x.numerator, lam.numerator * x.denominator
+    out = 1
     for i in range(n):
-        out *= x + i * lam
-    return out
+        out *= start + i * step
+    return Fraction(out, (lam.denominator * x.denominator) ** n)

@@ -180,10 +180,15 @@ def _sum_moment_rows(d: Distribution, k: int, n: int) -> tuple[int, list[list[in
         while k and len(ys) <= n:
             i = len(ys)
             ys.append(times(raw_moment(d, i), sigma**i))
-        # row lengths never grow with j, so the rows to fill are j = start..k
+        # row lengths never grow with j, so the rows to fill are j = start..k and
+        # the orders to fill are m >= low; one Pascal row per order serves every j
         start = min(k + 1, len(rows))
         while start and len(rows[start - 1]) <= n:
             start -= 1
+        low = len(rows[k]) if k < len(rows) else 0
+        pascal = [[math.comb(low, i) for i in range(low + 1)]]
+        for _ in range(low, n):
+            pascal.append(list(map(operator.add, [0] + pascal[-1], pascal[-1] + [0])))
         for j in range(start, k + 1):
             if j == len(rows):
                 rows.append([])
@@ -193,8 +198,8 @@ def _sum_moment_rows(d: Distribution, k: int, n: int) -> tuple[int, list[list[in
                 if j == 0:
                     row.append(1 if m == 0 else 0)
                 else:
-                    prev = rows[j - 1]
-                    row.append(sum(math.comb(m, i) * ys[i] * prev[m - i] for i in range(m + 1)))
+                    prev = map(operator.mul, ys, rows[j - 1][m::-1])
+                    row.append(sum(map(operator.mul, pascal[m - low], prev)))
         return sigma, rows
 
 

@@ -131,14 +131,11 @@ def _check_poly_via_partial_bell(dist, n: int, lam: Fraction):
 
 
 def _check_addition(dist, n: int, lam: Fraction, x: Fraction, y: Fraction):
-    left = prob_hetero_bell_poly(dist, n, lam)(x + y)
+    rows = [prob_hetero_bell_poly(dist, k, lam) for k in range(n + 1)]
+    left = rows[n](x + y)
     right = Fraction(0)
     for k in range(n + 1):
-        right += (
-            binomial(n, k)
-            * prob_hetero_bell_poly(dist, k, lam)(x)
-            * prob_hetero_bell_poly(dist, n - k, lam)(y)
-        )
+        right += binomial(n, k) * rows[k](x) * rows[n - k](y)
     return left == right, left, right, None
 
 
@@ -163,11 +160,10 @@ def _check_numbers_partial_bell(dist, n: int, lam: Fraction):
 
 
 def _check_shifted_sequence_bell(dist, n: int, k: int, lam: Fraction, x: Fraction):
+    row = prob_hetero_bell_poly(dist, n - k, lam)
     left = Fraction(0)
     for j in range(n - k + 1):
-        left += (
-            Fraction(k) ** j * x**j * prob_hetero_stirling(dist, n - k, j, lam)
-        )
+        left += Fraction(k) ** j * x**j * row.coeff(j)
     left *= binomial(n, k)
     shifted = [
         m * prob_hetero_bell_poly(dist, m - 1, lam)(x) for m in range(1, n - k + 2)
@@ -179,9 +175,10 @@ def _check_shifted_sequence_bell(dist, n: int, k: int, lam: Fraction, x: Fractio
 def _check_poly_sequence_bell(dist, n: int, k: int, lam: Fraction, x: Fraction):
     values = [prob_hetero_bell_poly(dist, j, lam)(x) for j in range(1, n - k + 2)]
     left = partial_bell(n, k, values)
+    row = prob_hetero_bell_poly(dist, n, lam)
     right = Fraction(0)
     for j in range(k, n + 1):
-        right += stirling2(j, k) * prob_hetero_stirling(dist, n, j, lam) * x**j
+        right += stirling2(j, k) * row.coeff(j) * x**j
     return left == right, left, right, None
 
 

@@ -1,13 +1,14 @@
 """Exact expectations of polynomial expressions in i.i.d. copies of one law.
 
 SymPoly is a sparse multivariate polynomial over a fixed tuple of
-variables Y_0..Y_{arity-1}, with Fraction coefficients keyed by exponent
-tuples.  Because the copies are independent, the expectation of a
-monomial factorizes into single-variable raw moments, which is all the
-engine needs.
+variables Y_0..Y_{arity-1}, with nonzero Fraction coefficients keyed by
+exponent tuples; only the public constructor validates monomials.  Because
+the copies are independent, the expectation of a monomial factorizes into
+single-variable raw moments, which is all the engine needs.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -37,6 +38,13 @@ class SymPoly:
             if c != 0:
                 clean[tuple(mono)] = c
         self._terms = clean
+
+    @classmethod
+    def _from_checked(cls, arity: int, terms: dict[Monomial, Fraction]) -> "SymPoly":
+        """For the arithmetic below, whose monomials are valid by construction: drops zeros only."""
+        out = object.__new__(cls)
+        out.arity, out._terms = arity, {mono: c for mono, c in terms.items() if c}
+        return out
 
     @classmethod
     def constant(cls, arity: int, c: RationalLike) -> "SymPoly":
@@ -71,10 +79,12 @@ class SymPoly:
             self._require_same_arity(other)
             out = dict(self._terms)
             for mono, c in other._terms.items():
-                out[mono] = out.get(mono, Fraction(0)) + c
-            return SymPoly(self.arity, out)
+                out[mono] = out.get(mono, 0) + c
+            return SymPoly._from_checked(self.arity, out)
         if isinstance(other, (int, Fraction)):
-            return self + SymPoly.constant(self.arity, other)
+            one = (0,) * self.arity
+            out = {**self._terms, one: self._terms.get(one, 0) + Fraction(other)}
+            return SymPoly._from_checked(self.arity, out)
         return NotImplemented
 
     __radd__ = __add__
@@ -85,11 +95,11 @@ class SymPoly:
             out: dict[Monomial, Fraction] = {}
             for m1, c1 in self._terms.items():
                 for m2, c2 in other._terms.items():
-                    key = tuple(a + b for a, b in zip(m1, m2))
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-            return SymPoly(self.arity, out)
+                    key = tuple(map(operator.add, m1, m2))
+                    out[key] = out.get(key, 0) + c1 * c2
+            return SymPoly._from_checked(self.arity, out)
         if isinstance(other, (int, Fraction)):
-            return SymPoly(self.arity, {m: c * other for m, c in self._terms.items()})
+            return SymPoly._from_checked(self.arity, {m: c * other for m, c in self._terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -115,7 +125,7 @@ def _deg_rising_at(argument: SymPoly, r: int, lam: Fraction) -> SymPoly:
     # univariate expansion of the degenerate rising factorial, then Horner
     # at the (affine) multivariate argument
     coeffs = deg_rising_poly(r, lam).coeffs
-    acc = SymPoly.constant(argument.arity, 0)
+    acc = SymPoly._from_checked(argument.arity, {})
     for c in reversed(coeffs):
         acc = acc * argument + c
     return acc

@@ -2,10 +2,12 @@
 
 Coefficient i belongs to x**i.  The zero polynomial is stored as an empty
 tuple and reports degree None; trailing zero coefficients are stripped on
-construction, so equal polynomials compare equal structurally.
+construction, so equal polynomials compare equal structurally.  Evaluation
+runs on integers over one denominator and builds one Fraction.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -103,11 +105,20 @@ class Polynomial:
     # -- analysis ----------------------------------------------------------
 
     def __call__(self, point: RationalLike) -> Fraction:
-        """Evaluate by Horner's rule."""
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * point + c
-        return acc
+        """Horner's rule in integers: at p/q, with D the lcm of the coefficient
+        denominators, the value is sum_i (D c_i) p**i q**(deg-i) over D q**deg."""
+        if not isinstance(point, (int, Fraction)):
+            raise TypeError(f"polynomial point must be int or Fraction, not {type(point).__name__}")
+        if not self._coeffs:
+            return Fraction(0)
+        p, q = point.numerator, point.denominator
+        *rest, top = self._coeffs
+        scale = math.lcm(*[c.denominator for c in self._coeffs])
+        acc, q_power = top.numerator * (scale // top.denominator), 1
+        for c in reversed(rest):
+            q_power *= q
+            acc = acc * p + c.numerator * (scale // c.denominator) * q_power
+        return Fraction(acc, scale * q_power)
 
     def derivative(self, order: int = 1) -> "Polynomial":
         if order < 0:

@@ -120,6 +120,14 @@ def partial_bell_multiindex(n: int, k: int, xs) -> Fraction:
     return math.factorial(n) * total
 
 
+def horner_fraction(poly, point) -> Fraction:
+    """Evaluate by Horner's rule, in Fraction arithmetic term by term."""
+    acc = Fraction(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * point + c
+    return acc
+
+
 def rising(x, n: int, lam) -> Fraction:
     out = Fraction(1)
     x = Fraction(x)

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heterobell import (
     ParseError,
@@ -60,11 +62,25 @@ def test_multinomial():
         multinomial(5, (2, 2))
 
 
-def test_deg_rising_factorial_against_product_oracle():
-    for x in [Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(5)]:
-        for lam in [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2)]:
-            for n in range(6):
-                assert deg_rising_factorial(x, n, lam) == rising(x, n, lam)
+small_rationals = st.one_of(
+    st.integers(min_value=-20, max_value=20),
+    st.fractions(min_value=Fraction(-20), max_value=Fraction(20), max_denominator=30),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_rationals, st.integers(min_value=0, max_value=40), small_rationals)
+@example(Fraction(-3, 2), 5, Fraction(-2))
+@example(0, 5, 0)
+@example(Fraction(1), 5, Fraction(1))
+@example(5, 5, Fraction(1, 2))
+@example(0, 40, Fraction(-1, 3))
+@example(Fraction(5, 7), 0, Fraction(-5, 7))
+@example(Fraction(5, 7), 40, Fraction(-5, 7))
+def test_deg_rising_factorial_against_product_oracle(x, n, lam):
+    value = deg_rising_factorial(x, n, lam)
+    assert type(value) is Fraction
+    assert value == rising(x, n, lam)
 
 
 def test_deg_rising_factorial_limits():

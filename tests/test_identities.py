@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -196,3 +198,31 @@ def test_user_config_is_laid_over_shipped_grid(tmp_path):
     pts = identity_grid("T2.2", cfg)
     assert {p["lam"] for p in pts} == {HALF}
     assert len(pts) == 6 * 45
+
+
+# sha256 of each tag's reports under the shipped grids, as json.dumps(..., indent=2)
+# of the as_dict() list; a new tag adds its digest, and no existing one may change
+REPORT_SHA256 = {
+    "T2.2": "0f2f866d664cc69107f0d0b050d371a7eeabd15778361283a6b67b92736dd6d4",
+    "T2.3": "a777c462add2beb9ce3a175cddac53d3dbea1adb5f2fdecaf262fd02e5539736",
+    "T2.4": "148b18dc5f7e2058f54fd1d30527c8e28d61dbd47ee3d4d8b12cb52b4b3342b6",
+    "T2.8": "f75a8857997a808beec5d8345169e2796eaf1d6b1316f7d426d672ec293c6dde",
+    "T2.9": "f7961e8ab2c8ff67c7cbd87ab85978f7b5ed2ed30adcd483d07f8e361eb58841",
+    "T2.10": "13e102f9b58bb0fabcd06a639a1a5329f2d29a638d2c7fa4c460f7f476811da7",
+    "T2.11": "ded6636a92f1b87c9d9844cd7758a5063fa8fb58b17d4323425f7ebb9a6ffdb1",
+    "T2.12": "ad1e0b0800d4f9de655419ee92ae678b8bfb0e8afd4afa4e9f40df62bec9b981",
+    "T2.13": "81d7c78bac7d7f72b6a09409d7e321a5ca437dbb0c86428a502c2d5705bb6ca9",
+    "T2.16": "9dc1ff84e72ec932a5a21253d406105f5d24be13a12ecc089149b86bc0f73cde",
+    "T2.17": "13d1af38966f18a9aec416351d9bb8297fc2217d32c334c8d5a010c31622a3a3",
+    "T2.18": "35d85b77ca9d3cf0546b4996d764ae8f53e4f297763d730c92df9f70e741b07e",
+    "L2.19": "12a69a4b78fbb9242b1d3138cc953520cfe7c721f4451beaf62b3d0181bdb789",
+    "T2.20": "ab43d066175181951e5664e581a29b2bef41de5871d3b8fe0f3058b8760f845c",
+    "LIMITS": "ba169fb634e68f8c0976bde989749e1a6cf82d4ebef353c74450fe757861754a",
+}
+
+
+@pytest.mark.parametrize("tag", IDENTITY_TAGS)
+def test_shipped_grid_report_is_pinned(tag):
+    reports = [r.as_dict() for r in run_identity(tag)]
+    digest = hashlib.sha256(json.dumps(reports, indent=2).encode()).hexdigest()
+    assert digest == REPORT_SHA256.get(tag), f"{tag} report digest {digest}"

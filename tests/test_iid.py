@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heterobell import (
     ArityMismatch,
@@ -57,6 +59,48 @@ def test_sympoly_arity_mismatch_in_ops():
         SymPoly.variable(2, 0) + SymPoly.variable(3, 0)
     with pytest.raises(ArityMismatch):
         SymPoly.variable(2, 0) * SymPoly.variable(1, 0)
+
+
+sym_coeffs = st.one_of(
+    st.just(0),
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=7),
+)
+
+
+@st.composite
+def sympoly_operands(draw):
+    arity = draw(st.integers(min_value=0, max_value=3))
+    monomials = st.tuples(*[st.integers(min_value=0, max_value=3)] * arity)
+    terms = st.dictionaries(monomials, sym_coeffs, max_size=6)
+    return SymPoly(arity, draw(terms)), SymPoly(arity, draw(terms)), draw(sym_coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sympoly_operands())
+def test_sympoly_arithmetic_matches_public_constructor(operands):
+    a, b, s = operands
+    ta, tb, one = a.terms, b.terms, (0,) * a.arity
+    product: dict = {}
+    for m1, c1 in ta.items():
+        for m2, c2 in tb.items():
+            key = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            product[key] = product.get(key, 0) + c1 * c2
+    expected = {
+        "a + b": SymPoly(a.arity, {m: ta.get(m, 0) + tb.get(m, 0) for m in {*ta, *tb}}),
+        "a * b": SymPoly(a.arity, product),
+        "a * s": SymPoly(a.arity, {m: c * s for m, c in ta.items()}),
+        "a + s": SymPoly(a.arity, {**ta, one: ta.get(one, 0) + s}),
+    }
+    results = {"a + b": a + b, "a * b": a * b, "a * s": a * s, "a + s": a + s}
+    assert results == expected
+    assert s * a == a * s and s + a == a + s
+    for result in results.values():
+        assert all(type(c) is Fraction and c != 0 for c in result.terms.values())
+    with pytest.raises(ArityMismatch):
+        SymPoly(a.arity, {(0,) * (a.arity + 1): 1})
+    with pytest.raises(ArityMismatch):
+        SymPoly(a.arity + 1, {(-1,) + one: 1})
 
 
 def test_subs_constant():

@@ -1,12 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heterobell import Polynomial, deg_rising_poly
 
-from .oracles import rising
+from .oracles import horner_fraction, rising
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -37,6 +37,38 @@ def test_evaluation_horner():
     p = Polynomial([Fraction(1), Fraction(-3), Fraction(2)])  # 2x^2 - 3x + 1
     assert p(Fraction(2)) == 3
     assert p(Fraction(1, 2)) == 0
+
+
+signed_coeffs = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**4),
+)
+points = st.one_of(
+    st.integers(min_value=-10**4, max_value=10**4),
+    st.fractions(min_value=Fraction(-100), max_value=Fraction(100), max_denominator=10**3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(signed_coeffs, min_size=0, max_size=31).map(Polynomial), points)
+@example(Polynomial([]), 0)
+@example(Polynomial([]), Fraction(-3, 2))
+@example(Polynomial([Fraction(1, 3), 0, Fraction(-5, 7)]), 0)
+@example(Polynomial([Fraction(1, 3), 0, Fraction(-5, 7)]), Fraction(0))
+@example(Polynomial([Fraction(1, 3), 0, Fraction(-5, 7)]), -4)
+@example(Polynomial([Fraction(1, 3), 0, Fraction(-5, 7)]), Fraction(-4, 9))
+def test_evaluation_matches_fraction_horner(p, x):
+    value = p(x)
+    assert type(value) is Fraction
+    assert value == horner_fraction(p, x)
+
+
+@pytest.mark.parametrize("point", [0.5, 2.0, "1/2", None])
+def test_evaluation_rejects_points_that_are_not_int_or_fraction(point):
+    with pytest.raises(TypeError, match="int or Fraction"):
+        Polynomial([1, 2])(point)
+    with pytest.raises(TypeError, match="int or Fraction"):
+        Polynomial([])(point)
 
 
 def test_product_known():
