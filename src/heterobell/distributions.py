@@ -2,21 +2,25 @@
 
 A distribution here is a small frozen value object that can produce the
 raw moment E[Y**n] as an exact rational.  On top of that sit the moments
-of i.i.d. partial sums S_k = Y_1 + ... + Y_k (S_0 = 0), computed by a
-cached binomial convolution, and their degenerate-rising-factorial
-counterparts.  Each law has an integer scale sigma with sigma**n * E[Y**n]
-integral, so the convolution runs on the integers sigma**n * E[S_k**n] and
-a Fraction is built only for a value handed out.
+of i.i.d. partial sums S_k = Y_1 + ... + Y_k (S_0 = 0) and their
+degenerate-rising-factorial counterparts.  Every reader of the partial sums
+takes them in order, k = 0, 1, 2, ..., so they come from one stream of cached
+rows: row k is the binomial convolution of row k-1 with the moments of Y, and
+a row is extended to a higher order only when the stream reaches it.  Each
+law has an integer scale sigma with sigma**n * E[Y**n] integral, so the
+convolution runs on the integers sigma**n * E[S_k**n] and a Fraction is
+built only for a value handed out.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import threading
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .arith import format_rational, parse_rational, times
 from .errors import MomentUnavailable, ParseError
@@ -139,9 +143,9 @@ def raw_moment(d: Distribution, n: int) -> Fraction:
     raise TypeError(f"not a distribution: {d!r}")
 
 
-# law -> (sigma, [sigma**i * E[Y**i] for i = 0, 1, ...], rows k = 0, 1, ... of
+# law -> ([sigma**i * E[Y**i] for i = 0, 1, ...], rows k = 0, 1, ... of
 # sigma**n * E[S_k**n] for n = 0, 1, ...), all int; the lists only ever grow
-_SUM_MOMENTS: dict[Distribution, tuple[int, list[int], list[list[int]]]] = {}
+_SUM_MOMENTS: dict[Distribution, tuple[list[int], list[list[int]]]] = {}
 _SUM_MOMENTS_LOCK = threading.Lock()
 
 
@@ -161,58 +165,51 @@ def moment_scale(d: Distribution) -> int:
     raise TypeError(f"not a distribution: {d!r}")
 
 
-def _sum_moment_rows(d: Distribution, k: int, n: int) -> tuple[int, list[list[int]]]:
-    """sigma and the rows of sigma**m * E[S_j**m], filled for j <= k and m <= n.
+def _sum_moment_rows(d: Distribution, n: int) -> Iterator[list[int]]:
+    """Rows j = 0, 1, 2, ... of sigma**m * E[S_j**m], in order, each filled at least for m <= n.
 
-    Row j is the binomial convolution of row j-1 with the scaled raw moments
-    of Y (split off the last summand); as sigma**m scales both sides alike, it
-    stays in integers.  A miss fills only the missing entries.
+    Row j is the binomial convolution of row j-1 with the scaled raw moments of Y
+    (split off the last summand); as sigma**m scales both sides alike, it stays in
+    integers.  A row is extended to order n only when the stream reaches it, so the
+    row before it is already long enough; the memoised rows only ever grow.
     """
-    if k < 0 or n < 0:
+    if n < 0:
         raise ValueError("indices must be >= 0")
-    memo = _SUM_MOMENTS.get(d)
-    if memo is not None and k < len(memo[2]) and n < len(memo[2][k]):
-        return memo[0], memo[2]
+    sigma, pascal = moment_scale(d), [[1]]
     with _SUM_MOMENTS_LOCK:
-        if d not in _SUM_MOMENTS:
-            _SUM_MOMENTS[d] = (moment_scale(d), [], [])
-        sigma, ys, rows = _SUM_MOMENTS[d]
-        while k and len(ys) <= n:
-            i = len(ys)
-            ys.append(times(raw_moment(d, i), sigma**i))
-        # row lengths never grow with j, so the rows to fill are j = start..k and
-        # the orders to fill are m >= low; one Pascal row per order serves every j
-        start = min(k + 1, len(rows))
-        while start and len(rows[start - 1]) <= n:
-            start -= 1
-        low = len(rows[k]) if k < len(rows) else 0
-        pascal = [[math.comb(low, i) for i in range(low + 1)]]
-        for _ in range(low, n):
-            pascal.append(list(map(operator.add, [0] + pascal[-1], pascal[-1] + [0])))
-        for j in range(start, k + 1):
+        ys, rows = _SUM_MOMENTS.setdefault(d, ([], []))
+    for j in itertools.count():
+        with _SUM_MOMENTS_LOCK:
             if j == len(rows):
-                rows.append([])
+                rows.append([1])
             row = rows[j]
-            while len(row) <= n:
-                m = len(row)
-                if j == 0:
-                    row.append(1 if m == 0 else 0)
-                else:
+            if j == 0:
+                row.extend([0] * (n + 1 - len(row)))
+            elif len(row) <= n:
+                while len(ys) <= n:
+                    ys.append(times(raw_moment(d, len(ys)), sigma ** len(ys)))
+                while len(pascal) <= n:
+                    pascal.append(list(map(operator.add, [0] + pascal[-1], pascal[-1] + [0])))
+                for m in range(len(row), n + 1):
                     prev = map(operator.mul, ys, rows[j - 1][m::-1])
-                    row.append(sum(map(operator.mul, pascal[m - low], prev)))
-        return sigma, rows
+                    row.append(sum(map(operator.mul, pascal[m], prev)))
+        yield row
+
+
+def _nth(items: Iterator, k: int):
+    """Item k of a stream, counting from 0."""
+    if k < 0:
+        raise ValueError("indices must be >= 0")
+    return next(itertools.islice(items, k, None))
 
 
 def sum_raw_moment(d: Distribution, k: int, n: int) -> Fraction:
     """E[S_k**n] for S_k the sum of k i.i.d. copies of Y."""
-    sigma, rows = _sum_moment_rows(d, k, n)
-    return Fraction(rows[k][n], sigma**n)
+    return Fraction(_nth(_sum_moment_rows(d, n), k)[n], moment_scale(d) ** n)
 
 
-def scaled_sum_deg_rising_moments(
-    d: Distribution, ks: Iterable[int], n: int, lam: Fraction
-) -> tuple[Iterator[int], int]:
-    """Integers M_k, yielded lazily for k in ks, and D with E<S_k>_{n,lam} = M_k / D.
+def scaled_sum_deg_rising_moments(d: Distribution, n: int, lam: Fraction) -> tuple[Iterator[int], int]:
+    """Integers M_k, yielded lazily for k = 0, 1, 2, ..., and D with E<S_k>_{n,lam} = M_k / D.
 
     With lam = a/b, b**n <x>_{n,lam} = prod_{r<n} (b*x + r*a) is expanded in
     integers once per call, and D = (b*sigma)**n.
@@ -222,7 +219,7 @@ def scaled_sum_deg_rising_moments(
     for r in range(n):
         coeffs = [r * a * c + b * c_left for c, c_left in zip(coeffs + [0], [0] + coeffs)]
     weights = [c * sigma ** (n - i) for i, c in enumerate(coeffs)]
-    moments = (sum(map(operator.mul, weights, _sum_moment_rows(d, k, n)[1][k])) for k in ks)
+    moments = (sum(map(operator.mul, weights, row)) for row in _sum_moment_rows(d, n))
     return moments, (b * sigma) ** n
 
 
@@ -255,8 +252,8 @@ def deg_rising_moment(d: Distribution, n: int, lam: Fraction) -> Fraction:
 @lru_cache(maxsize=None)
 def sum_deg_rising_moment(d: Distribution, k: int, n: int, lam: Fraction) -> Fraction:
     """E of the degenerate rising factorial of the partial sum S_k."""
-    (moment,), scale = scaled_sum_deg_rising_moments(d, (k,), n, Fraction(lam))
-    return Fraction(moment, scale)
+    moments, scale = scaled_sum_deg_rising_moments(d, n, Fraction(lam))
+    return Fraction(_nth(moments, k), scale)
 
 
 def support_bound(d: Distribution) -> Fraction | None:

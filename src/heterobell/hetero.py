@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,7 +38,7 @@ from .triangles import stirling1u, triangle_entry
 class Route(enum.Enum):
     """Independent computation routes for the probabilistic numbers."""
 
-    DIRECT = "direct"  # alternating sum over partial-sum moments
+    DIRECT = "direct"  # forward differences of the partial-sum moments
     STIRLING_TRANSFORM = "stirling-transform"  # prob Stirling2 against deg Stirling1 weights
     PARTIAL_BELL = "partial-bell"  # partial Bell polynomial of single-copy moments
 
@@ -82,17 +83,15 @@ def prob_lah(d: Distribution, n: int, k: int) -> Fraction:
 def _row(d: Distribution, n: int, lam: Fraction, route: Route) -> Polynomial:
     """Row n of the chosen route, coefficient k for k = 0..n; entries with k > n vanish."""
     if route is Route.DIRECT:
-        # the paper's definition (1/k!) sum_j (-1)**(k-j) C(k, j) E<S_j>_{n,lam}, with
-        # E<S_j>_{n,lam} = moments[j] / scale summed in integers
-        moments, scale = scaled_sum_deg_rising_moments(d, range(n + 1), n, lam)
-        moments = list(moments)
-        return Polynomial(
-            Fraction(
-                sum((-1) ** (k - j) * binomial(k, j) * moments[j] for j in range(k + 1)),
-                factorial(k) * scale,
-            )
-            for k in range(n + 1)
-        )
+        # the paper's definition (1/k!) sum_j (-1)**(k-j) C(k, j) E<S_j>_{n,lam} is the k-th
+        # forward difference at j = 0 over k!; with E<S_j>_{n,lam} = moments[j] / scale, the
+        # difference table of the integers moments[0..n] gives every k by subtractions
+        moments, scale = scaled_sum_deg_rising_moments(d, n, lam)
+        column, diffs = list(itertools.islice(moments, n + 1)), []
+        while column:
+            diffs.append(column[0])
+            column = list(map(operator.sub, column[1:], column))
+        return Polynomial(Fraction(v, factorial(k) * scale) for k, v in enumerate(diffs))
     if route is Route.STIRLING_TRANSFORM:
         # sum_l prob_stirling2 (DIRECT at lam = 0; an integer over k! sigma**l) stirling1u lam**(n-l)
         a, b, sigma = lam.numerator, lam.denominator, moment_scale(d)
@@ -249,7 +248,7 @@ def dobinski_details(
 
     # for x = p/q and E<S_k>_{n,lam} = M_k / scale, terms 0..k sum to numer / (k! q**k scale)
     p, q = x.numerator, x.denominator
-    moments, scale = scaled_sum_deg_rising_moments(d, itertools.count(), n, lam)
+    moments, scale = scaled_sum_deg_rising_moments(d, n, lam)
     unit = math.lcm(bound.denominator, spread.denominator)
     b_scaled, s_scaled = int(bound * unit), int(spread * unit)
     numer, power, any_term = 0, 1, False

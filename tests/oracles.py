@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from heterobell import (
     Bernoulli,
@@ -29,7 +29,13 @@ from heterobell import (
     sum_deg_rising_moment,
     support_bound,
 )
-from heterobell.hetero import _SERIES_TERM_CAP, _ln
+
+# the package's cap, restated; a test holds the two equal
+_SERIES_TERM_CAP = 5_000
+
+
+def _ln(q: Fraction) -> float:
+    return math.log(q.numerator) - math.log(q.denominator)
 
 
 def stirling2_rec(n: int, k: int, _memo={}) -> int:
@@ -186,17 +192,19 @@ def poisson_moment_rec(alpha, n: int) -> Fraction:
 
 
 def finite_sum_moment(pairs, k: int, n: int, lam=0) -> Fraction:
-    """E<S_k>_{n,lam} for a finite law by enumerating all k-tuples of atoms.
+    """E<S_k>_{n,lam} for a finite law by enumerating the multisets of k atoms.
 
-    At lam = 0 this is the raw moment E[S_k**n].
+    The multiset that takes atom i c_i times has probability k! prod p_i**c_i / c_i!
+    and sum sum c_i v_i.  At lam = 0 this is the raw moment E[S_k**n].
     """
     acc = Fraction(0)
-    for combo in product(pairs, repeat=k):
-        pr = Fraction(1)
+    for combo in combinations_with_replacement(range(len(pairs)), k):
+        pr = Fraction(math.factorial(k))
         s = Fraction(0)
-        for v, p in combo:
-            pr *= Fraction(p)
-            s += Fraction(v)
+        for i, (v, p) in enumerate(pairs):
+            c = combo.count(i)
+            pr *= Fraction(p) ** c / math.factorial(c)
+            s += c * Fraction(v)
         acc += pr * rising(s, n, lam)
     return acc
 

@@ -241,6 +241,13 @@ def test_zero_fold_sum():
         assert sum_raw_moment(BERN_THIRD, 0, n) == (1 if n == 0 else 0)
 
 
+def test_negative_fold_count_rejected():
+    with pytest.raises(ValueError, match="indices must be >= 0"):
+        sum_raw_moment(BERN_THIRD, -1, 2)
+    with pytest.raises(ValueError, match="indices must be >= 0"):
+        sum_deg_rising_moment(BERN_THIRD, -1, 2, 0)
+
+
 def test_support_bound():
     assert support_bound(Bernoulli(Fraction(1, 3))) == 1
     assert support_bound(Constant(Fraction(-5, 2))) == Fraction(5, 2)
@@ -300,6 +307,21 @@ def test_integer_moment_engine_against_enumeration(d, lam, k, n):
         assert sum_raw_moment(law, k, n) == raw
         assert sum_deg_rising_moment(law, k, n, lam) == rising[k]
         assert prob_hetero_stirling(law, n, k, lam, Route.DIRECT) == entry
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _finite_laws(),
+    _rationals,
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 8)), min_size=1, max_size=5),
+)
+def test_moment_requests_in_any_order(d, lam, requests):
+    # each request leaves rows 0..k filled to its order n, so rows of unequal length
+    # pile up, and a later request must extend them
+    clear_caches()
+    for k, n in requests:
+        assert sum_raw_moment(d, k, n) == oracles.finite_sum_moment(d.pairs, k, n)
+        assert sum_deg_rising_moment(d, k, n, lam) == oracles.finite_sum_moment(d.pairs, k, n, lam)
 
 
 def _package_lru_caches():

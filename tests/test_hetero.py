@@ -270,6 +270,17 @@ def test_stirling_transform_row_is_integer_until_its_entries(monkeypatch):
         assert row == prob_hetero_bell_poly(d, n, lam, Route.DIRECT)
 
 
+def test_direct_rows_enter_the_moment_engine_once_each(monkeypatch):
+    engine, calls = distributions._sum_moment_rows, []
+    monkeypatch.setattr(distributions, "_sum_moment_rows", lambda *args: calls.append(args) or engine(*args))
+    clear_caches()
+    law = Poisson(Fraction(5, 4))
+    for n in range(21):
+        prob_hetero_bell_poly(law, n, Fraction(1, 3), Route.DIRECT)
+        assert len(calls) == n + 1
+    assert calls == [(law, n) for n in range(21)]
+
+
 def test_negative_indices_rejected():
     with pytest.raises(ValueError):
         hetero_stirling(-1, 0, HALF)
@@ -421,6 +432,7 @@ def test_dobinski_matches_fraction_oracle():
         (Constant(10**300), 1, Fraction(0), Fraction(1), 1e-12),
         (BERN_HALF, 1, Fraction(0), Fraction(1, 10**400), 1e-12),
     ]
+    assert oracles._SERIES_TERM_CAP == hetero._SERIES_TERM_CAP
     outcomes = set()
     for case in cases:
         got = _series_outcome(dobinski_details, *case)
