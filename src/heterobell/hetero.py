@@ -148,7 +148,8 @@ def prob_hetero_bell_poly(
         raise ValueError("indices must be >= 0")
     if not isinstance(route, Route):
         raise ValueError(f"unknown route {route!r}")
-    return _row(d, n, Fraction(lam), route)
+    # a warm call is a memo lookup, so a lam that already is a Fraction is not rebuilt
+    return _row(d, n, lam if type(lam) is Fraction else Fraction(lam), route)
 
 
 def prob_hetero_bell_recurrence(d: Distribution, n_max: int, lam: RationalLike) -> list[Polynomial]:

@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Sequence
 from .arith import binomial, deg_rising_factorial, factorial, parse_rational
 from .distributions import (
     Bernoulli,
-    Distribution,
     Poisson,
     format_distribution,
     parse_distribution,
@@ -35,8 +34,8 @@ from .hetero import (
     prob_stirling2,
 )
 from .iid import order_split_rhs
-from .polynomial import Polynomial
-from .triangles import bell_poly, deg_stirling1, partial_bell, stirling1u, stirling2
+from .polynomial import Polynomial, deg_rising_poly
+from .triangles import bell_poly, deg_stirling1, partial_bell, stirling2
 
 
 @dataclass
@@ -71,18 +70,6 @@ def _as_list(value) -> list[str]:
     if isinstance(value, (list, tuple)):
         return [_render(v) for v in value]
     return [_render(value)]
-
-
-def _coerce_dist(d) -> Distribution:
-    if isinstance(d, str):
-        return parse_distribution(d)
-    return d
-
-
-def _coerce_rat(q) -> Fraction:
-    if isinstance(q, str):
-        return parse_rational(q)
-    return Fraction(q)
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +126,6 @@ def _check_addition(dist, n: int, lam: Fraction, x: Fraction, y: Fraction):
     return left == right, left, right, None
 
 
-def _falling_poly(k: int) -> Polynomial:
-    # x(x-1)...(x-k+1) through the signed first-kind expansion
-    return Polynomial(
-        (-1) ** (k - l) * stirling1u(k, l) for l in range(k + 1)
-    )
-
-
 def _check_numbers_partial_bell(dist, n: int, lam: Fraction):
     left = prob_hetero_bell_poly(dist, n, lam)
     bell_numbers = [
@@ -155,16 +135,13 @@ def _check_numbers_partial_bell(dist, n: int, lam: Fraction):
     for k in range(n + 1):
         b = partial_bell(n, k, bell_numbers[1 : n - k + 2])
         if b:
-            right = right + b * _falling_poly(k)
+            # the falling factorial x(x-1)...(x-k+1) is the degenerate rising one at lam = -1
+            right = right + b * deg_rising_poly(k, Fraction(-1))
     return left == right, left, right, None
 
 
 def _check_shifted_sequence_bell(dist, n: int, k: int, lam: Fraction, x: Fraction):
-    row = prob_hetero_bell_poly(dist, n - k, lam)
-    left = Fraction(0)
-    for j in range(n - k + 1):
-        left += Fraction(k) ** j * x**j * row.coeff(j)
-    left *= binomial(n, k)
+    left = binomial(n, k) * prob_hetero_bell_poly(dist, n - k, lam)(k * x)
     shifted = [
         m * prob_hetero_bell_poly(dist, m - 1, lam)(x) for m in range(1, n - k + 2)
     ]
@@ -176,9 +153,7 @@ def _check_poly_sequence_bell(dist, n: int, k: int, lam: Fraction, x: Fraction):
     values = [prob_hetero_bell_poly(dist, j, lam)(x) for j in range(1, n - k + 2)]
     left = partial_bell(n, k, values)
     row = prob_hetero_bell_poly(dist, n, lam)
-    right = Fraction(0)
-    for j in range(k, n + 1):
-        right += stirling2(j, k) * row.coeff(j) * x**j
+    right = Polynomial(stirling2(j, k) * c for j, c in enumerate(row))(x)
     return left == right, left, right, None
 
 
@@ -216,9 +191,9 @@ def _check_block_sum(n: int, k: int, lam: Fraction):
 
 def _check_bernoulli_moment(p: Fraction, k: int, n: int, lam: Fraction):
     left = sum_deg_rising_moment(Bernoulli(p), k, n, lam)
-    right = Fraction(0)
-    for j in range(n + 1):
-        right += binomial(k, j) * p**j * factorial(j) * hetero_stirling(n, j, lam)
+    right = Polynomial(
+        binomial(k, j) * factorial(j) * hetero_stirling(n, j, lam) for j in range(n + 1)
+    )(p)
     return left == right, left, right, None
 
 
@@ -259,6 +234,29 @@ def _check_limits(dist, n: int):
 
 
 # ---------------------------------------------------------------------------
+# grid parameters: name -> (read, show).  `read` takes a value given as a
+# string or as a number and returns it typed; `show` prints it in a report.
+
+
+def _read(parse: Callable, convert: Callable = lambda v: v) -> Callable:
+    return lambda v: parse(v) if isinstance(v, str) else convert(v)
+
+
+_RATIONAL = _read(parse_rational, Fraction)
+
+
+_PARAMS: dict[str, tuple[Callable, Callable]] = {
+    "dist": (_read(parse_distribution), format_distribution),
+    **dict.fromkeys(("lam", "x", "y", "t"), (_RATIONAL, str)),
+    # a law's parameter is read through the law, which rejects one out of its range
+    "alpha": (lambda v: Poisson(_RATIONAL(v)).alpha, str),
+    "p": (lambda v: Bernoulli(_RATIONAL(v)).p, str),
+    "lambdas": (lambda qs: tuple(map(_RATIONAL, qs)), lambda qs: f"({', '.join(map(str, qs))})"),
+    **dict.fromkeys(("n", "m", "k"), (int, str)),
+}
+
+
+# ---------------------------------------------------------------------------
 # registry: tag -> (checker, grid axes)
 #
 # An axis is (name, values(section, point_so_far)), listed outermost first;
@@ -272,50 +270,48 @@ def _config_int(sec: dict, key: str) -> int:
         raise ParseError(f"{key} = {sec[key]!r} is not an integer") from None
 
 
-def _list(key: str, parse: Callable = parse_rational):
-    return lambda sec, pt: [parse(s.strip()) for s in sec[key].split(";") if s.strip()]
+def _listed(name: str, key: str) -> tuple:
+    """Axis name over the ';'-separated entries of config key, each read as name is."""
+    read = _PARAMS[name][0]
+    return name, lambda sec, pt: [read(s.strip()) for s in sec[key].split(";") if s.strip()]
 
 
 def _count(key: str, low: int = 0):
     return lambda sec, pt: range(low, _config_int(sec, key) + 1)
 
 
-_DIST = ("dist", _list("dists", parse_distribution))
-_LAM = ("lam", _list("lambdas"))
-_X = ("x", _list("xs"))
+_DIST = _listed("dist", "dists")
+_LAM = _listed("lam", "lambdas")
+_X = _listed("x", "xs")
 _N = ("n", _count("nmax"))
 _K_UPTO_N = ("k", lambda sec, pt: range(pt["n"] + 1))
+# all the listed lambdas at one point, and no point if none are listed
+_LAMBDAS = ("lambdas", lambda sec, pt: [lams] if (lams := tuple(_LAM[1](sec, pt))) else [])
 
 _IDENTITIES: dict[str, tuple[Callable, tuple]] = {
     "T2.2": (_check_stirling_transform, (_DIST, _LAM, _N, _K_UPTO_N)),
     "T2.3": (_check_lah_via_stirling, (_DIST, _N, _K_UPTO_N)),
-    "T2.4": (
-        _check_lah_lambda_free,
-        (("lambdas", lambda sec, pt: [tuple(_list("lambdas")(sec, pt))]), _DIST, _N, _K_UPTO_N),
-    ),
+    "T2.4": (_check_lah_lambda_free, (_LAMBDAS, _DIST, _N, _K_UPTO_N)),
     "T2.8": (
         _check_order_split,
         (
             _DIST,
             _LAM,
-            ("t", _list("ts")),
+            _listed("t", "ts"),
             ("n", _count("sum_max")),
             ("m", lambda sec, pt: range(_config_int(sec, "sum_max") - pt["n"] + 1)),
         ),
     ),
     "T2.9": (_check_poly_via_partial_bell, (_DIST, _LAM, _N)),
-    "T2.10": (_check_addition, (_DIST, _LAM, _N, _X, ("y", _list("ys")))),
+    "T2.10": (_check_addition, (_DIST, _LAM, _N, _X, _listed("y", "ys"))),
     "T2.11": (_check_numbers_partial_bell, (_DIST, _LAM, _N)),
     "T2.12": (_check_shifted_sequence_bell, (_DIST, _LAM, _X, _N, _K_UPTO_N)),
     "T2.13": (_check_poly_sequence_bell, (_DIST, _LAM, _X, _N, _K_UPTO_N)),
-    "T2.16": (
-        _check_poisson_moment,
-        (("alpha", _list("alphas")), _LAM, ("k", _count("kmax")), _N),
-    ),
-    "T2.17": (_check_poisson_poly, (("alpha", _list("alphas")), _LAM, _N)),
-    "T2.18": (_check_bernoulli_scaling, (("p", _list("ps")), _LAM, _N)),
+    "T2.16": (_check_poisson_moment, (_listed("alpha", "alphas"), _LAM, ("k", _count("kmax")), _N)),
+    "T2.17": (_check_poisson_poly, (_listed("alpha", "alphas"), _LAM, _N)),
+    "T2.18": (_check_bernoulli_scaling, (_listed("p", "ps"), _LAM, _N)),
     "L2.19": (_check_block_sum, (_LAM, ("n", _count("nmax", 1)), ("k", _count("kmax", 1)))),
-    "T2.20": (_check_bernoulli_moment, (("p", _list("ps")), _LAM, ("k", _count("kmax")), _N)),
+    "T2.20": (_check_bernoulli_moment, (_listed("p", "ps"), _LAM, ("k", _count("kmax")), _N)),
     "LIMITS": (_check_limits, (_DIST, _N)),
 }
 
@@ -329,35 +325,12 @@ def _lookup(tag: str) -> tuple[Callable, tuple]:
         raise UnknownIdentity(f"no identity with tag {tag!r}") from None
 
 
-_COERCERS = {
-    "dist": _coerce_dist,
-    "lam": _coerce_rat,
-    "x": _coerce_rat,
-    "y": _coerce_rat,
-    "t": _coerce_rat,
-    "alpha": _coerce_rat,
-    "p": _coerce_rat,
-    "lambdas": lambda v: tuple(_coerce_rat(q) for q in v),
-    "n": int,
-    "m": int,
-    "k": int,
-}
-
-
-def _render_param(key: str, value) -> str:
-    if key == "dist":
-        return format_distribution(value)
-    if key == "lambdas":
-        return "(" + ", ".join(str(q) for q in value) + ")"
-    return str(value)
-
-
 def verify_identity(tag: str, **params) -> IdentityReport:
     """Check one identity at one parameter point; both sides exact."""
     checker, _ = _lookup(tag)
-    typed = {key: _COERCERS[key](value) for key, value in params.items()}
+    typed = {key: _PARAMS[key][0](value) for key, value in params.items()}
     passed, left, right, note = checker(**typed)
-    shown = {key: _render_param(key, value) for key, value in typed.items()}
+    shown = {key: _PARAMS[key][1](value) for key, value in typed.items()}
     return IdentityReport(
         identity=tag,
         params=shown,
@@ -420,7 +393,7 @@ def identity_grid(tag: str, cfg: GridConfig) -> list[dict]:
     try:
         for name, values in axes:
             points = [{**pt, name: v} for pt in points for v in values(sec, pt)]
-    except ParseError as exc:
+    except ValueError as exc:  # a ParseError, or a law rejecting its parameter
         raise ParseError(f"grid section [{tag}]: {exc}") from None
     if not points:
         raise ParseError(f"grid section [{tag}] has no points")

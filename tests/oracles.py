@@ -27,7 +27,6 @@ from heterobell import (
     SeriesNotCertified,
     UnsupportedDistribution,
     sum_deg_rising_moment,
-    support_bound,
 )
 
 # the package's cap, restated; a test holds the two equal
@@ -36,6 +35,17 @@ _SERIES_TERM_CAP = 5_000
 
 def _ln(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
+
+
+def _support_bound(d) -> Fraction | None:
+    """A bound B with |Y| <= B almost surely, or None for a law with unbounded or unknown support."""
+    if isinstance(d, Bernoulli):
+        return Fraction(1)
+    if isinstance(d, Constant):
+        return abs(d.c)
+    if isinstance(d, FiniteSupport):
+        return max(abs(v) for v, _ in d.pairs)
+    return None
 
 
 def stirling2_rec(n: int, k: int, _memo={}) -> int:
@@ -286,7 +296,7 @@ def dobinski_fraction(d, n: int, lam, x, rel_tol: float = 1e-12) -> SeriesEvalua
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    bound = support_bound(d)
+    bound = _support_bound(d)
     if bound is None:
         raise UnsupportedDistribution(
             "series evaluation needs a bounded-support distribution"

@@ -385,16 +385,28 @@ DOBINSKI = ("dobinski", "--dist", "bernoulli:1/2", "--n", "3", "--x", "1")
         (DOBINSKI + ("--tol", "0"), "rel_tol"),
         (DOBINSKI + ("--tol", "nan"), "rel_tol"),
         (DOBINSKI + ("--tol", "inf"), "rel_tol"),
+        (("verify", "T2.4", "--config", "{tmp}/laws.cfg"), "[T2.4] has no points"),
+        (("verify", "T2.16", "--config", "{tmp}/laws.cfg"), "[T2.16]: Poisson rate"),
+        (("verify", "T2.17", "--config", "{tmp}/laws.cfg"), "[T2.17]: Poisson rate"),
+        (("verify", "T2.18", "--config", "{tmp}/laws.cfg"), "[T2.18]: Bernoulli parameter"),
+        (("verify", "T2.20", "--config", "{tmp}/laws.cfg"), "[T2.20]: Bernoulli parameter"),
     ],
     ids=[
         "missing-config", "non-integer-nmax", "no-section-header", "empty-grid",
         "out-dir-missing", "tol-0", "tol-nan", "tol-inf",
+        "empty-lambdas-list", "poisson-rate-0", "poisson-rate-negative", "bernoulli-p-2",
+        "bernoulli-p-negative",
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv, needle):
     (tmp_path / "bad.cfg").write_text("[defaults]\nnmax = abc\n")
     (tmp_path / "headless.cfg").write_text("nmax = 3\n")
     (tmp_path / "empty.cfg").write_text("[defaults]\nnmax = -1\n")
+    # an empty list, and law parameters out of range, each read while the grid is built
+    (tmp_path / "laws.cfg").write_text(
+        "[T2.4]\nlambdas =\n[T2.16]\nalphas = 0\n[T2.17]\nalphas = -1\n"
+        "[T2.18]\nps = 2\n[T2.20]\nps = -1/2\n"
+    )
     code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert code == 2
     assert out == ""

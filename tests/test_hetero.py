@@ -270,6 +270,16 @@ def test_stirling_transform_row_is_integer_until_its_entries(monkeypatch):
         assert row == prob_hetero_bell_poly(d, n, lam, Route.DIRECT)
 
 
+def test_warm_row_with_fraction_lambda_builds_no_fraction(monkeypatch):
+    law, lam = Poisson(Fraction(5, 4)), Fraction(1, 3)
+    cold = prob_hetero_bell_poly(law, 6, lam)
+    warm, built = _count_fractions(monkeypatch, lambda: prob_hetero_bell_poly(law, 6, lam))
+    assert built == 0
+    assert warm is cold
+    # an int lam reads the same memo entry
+    assert prob_hetero_bell_poly(law, 6, 0) is prob_hetero_bell_poly(law, 6, Fraction(0))
+
+
 def test_direct_rows_enter_the_moment_engine_once_each(monkeypatch):
     engine, calls = distributions._sum_moment_rows, []
     monkeypatch.setattr(distributions, "_sum_moment_rows", lambda *args: calls.append(args) or engine(*args))

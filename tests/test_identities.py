@@ -14,7 +14,7 @@ from heterobell import (
 )
 from heterobell.identities import GridConfig, identity_grid, load_grid_config
 
-from .oracles import BERN_HALF, FS_ZERO_TWO
+from .oracles import BERN_HALF, FS_ZERO_TWO, POISSON_ONE
 
 HALF = Fraction(1, 2)
 
@@ -51,11 +51,33 @@ def test_identity_passes_at_sample_point(tag):
     assert report.note is None
 
 
+# the sample points' laws, built without the package's parser
+_SAMPLE_LAWS = {"bernoulli:1/2": BERN_HALF, "poisson:1": POISSON_ONE, "finite:0:1/2,2:1/2": FS_ZERO_TWO}
+
+
+def _typed(key: str, value):
+    if key == "dist":
+        return _SAMPLE_LAWS[value]
+    if key == "lambdas":
+        return tuple(Fraction(q) for q in value)
+    if key in ("n", "m", "k"):
+        return int(value)
+    return Fraction(value)
+
+
 def test_verify_accepts_typed_and_string_params():
     a = verify_identity("T2.2", dist=BERN_HALF, n=4, k=2, lam=Fraction(1, 3))
     b = verify_identity("T2.2", dist="bernoulli:1/2", n="4", k="2", lam="1/3")
     assert a == b
     assert a.passed
+    # every tag's sample point, given as strings and as its typed twin
+    names = set()
+    for tag, point in SAMPLE_POINTS.items():
+        strings = {key: [str(q) for q in v] if key == "lambdas" else str(v) for key, v in point.items()}
+        typed = {key: _typed(key, v) for key, v in point.items()}
+        assert verify_identity(tag, **strings) == verify_identity(tag, **typed), tag
+        names |= set(point)
+    assert names == {"dist", "lam", "x", "y", "t", "p", "alpha", "lambdas", "n", "m", "k"}
 
 
 def test_report_shape_and_serialization():
