@@ -32,7 +32,6 @@ from .distributions import (
     support_bound,
 )
 from .errors import (
-    ArityMismatch,
     HeterobellError,
     InsufficientSequence,
     MissingDistribution,
@@ -65,7 +64,7 @@ from .identities import (
     run_identity,
     verify_identity,
 )
-from .iid import SymPoly, compositions, expect, order_split_rhs, shifted_product_term
+from .iid import compositions, order_split_rhs
 from .polynomial import Polynomial, deg_rising_poly
 from .triangles import (
     bell_poly,

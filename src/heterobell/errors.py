@@ -40,6 +40,3 @@ class UnknownIdentity(HeterobellError, ValueError):
 class MissingDistribution(HeterobellError, ValueError):
     """Command needs a distribution argument but none was supplied."""
 
-
-class ArityMismatch(HeterobellError, ValueError):
-    """Multivariate term built with an inconsistent variable count."""

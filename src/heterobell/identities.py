@@ -362,8 +362,11 @@ def load_grid_config(path: str | None = None) -> GridConfig:
     shipped = resources.files("heterobell").joinpath("data", DEFAULT_GRID_RESOURCE)
     sources = [(DEFAULT_GRID_RESOURCE, shipped.read_text())]
     if path is not None:
-        with open(path) as fh:
-            sources.append((path, fh.read()))
+        with open(path, encoding="utf-8") as fh:
+            try:
+                sources.append((path, fh.read()))
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: {exc}") from None
     layers = []
     for source, text in sources:
         parser = configparser.ConfigParser()

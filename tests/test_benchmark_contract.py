@@ -13,7 +13,12 @@ import os
 import heterobell
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-READERS = ("perfbench/workloads.py", "perfbench/child.py", "tests/oracles.py")
+READERS = (
+    "perfbench/workloads.py",
+    "perfbench/child.py",
+    "tests/oracles.py",
+    "tests/sympoly_oracle.py",
+)
 
 
 def _tree(relpath: str) -> ast.Module:
@@ -54,6 +59,7 @@ def test_every_name_the_readers_take_exists():
     taken = {relpath: _names_taken(relpath) for relpath in READERS}
     assert {"Route", "partial_bell", "prob_hetero_stirling"} <= taken["perfbench/workloads.py"]
     assert {"Bernoulli", "Poisson"} <= taken["tests/oracles.py"]
+    assert {"raw_moment", "deg_rising_poly"} <= taken["tests/sympoly_oracle.py"]
     missing = {
         relpath: sorted(name for name in names if not _resolves(name))
         for relpath, names in taken.items()

@@ -390,12 +390,13 @@ DOBINSKI = ("dobinski", "--dist", "bernoulli:1/2", "--n", "3", "--x", "1")
         (("verify", "T2.17", "--config", "{tmp}/laws.cfg"), "[T2.17]: Poisson rate"),
         (("verify", "T2.18", "--config", "{tmp}/laws.cfg"), "[T2.18]: Bernoulli parameter"),
         (("verify", "T2.20", "--config", "{tmp}/laws.cfg"), "[T2.20]: Bernoulli parameter"),
+        (("verify", "--config", "{tmp}/utf16.cfg"), "utf16.cfg: 'utf-8' codec can't decode"),
     ],
     ids=[
         "missing-config", "non-integer-nmax", "no-section-header", "empty-grid",
         "out-dir-missing", "tol-0", "tol-nan", "tol-inf",
         "empty-lambdas-list", "poisson-rate-0", "poisson-rate-negative", "bernoulli-p-2",
-        "bernoulli-p-negative",
+        "bernoulli-p-negative", "config-not-utf8",
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv, needle):
@@ -407,6 +408,7 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv, needle):
         "[T2.4]\nlambdas =\n[T2.16]\nalphas = 0\n[T2.17]\nalphas = -1\n"
         "[T2.18]\nps = 2\n[T2.20]\nps = -1/2\n"
     )
+    (tmp_path / "utf16.cfg").write_bytes("[defaults]\nnmax = 3\n".encode("utf-16"))
     code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert code == 2
     assert out == ""

@@ -1,23 +1,28 @@
+import ast
+import inspect
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heterobell import (
-    ArityMismatch,
     Bernoulli,
     Constant,
-    SymPoly,
+    MomentList,
+    MomentUnavailable,
+    Poisson,
     compositions,
-    expect,
+    iid,
     order_split_rhs,
     prob_hetero_bell_poly,
-    shifted_product_term,
+    raw_moment,
 )
 
-from . import oracles
+from . import oracles, sympoly_oracle
 from .oracles import BERN_HALF, FS_ZERO_TWO, TRIO
+from .sympoly_oracle import ArityMismatch, SymPoly, expect, shifted_product_term
+from .test_hetero import _finite_laws, _rationals
 
 HALF = Fraction(1, 2)
 
@@ -187,3 +192,44 @@ def test_order_split_rebuilds_higher_order():
 def test_order_split_validation():
     with pytest.raises(ValueError):
         order_split_rhs(BERN_HALF, -1, 2, Fraction(1), HALF)
+
+
+def test_order_split_reads_only_orders_up_to_m(monkeypatch):
+    # T2.8 compares the expansion with the order-(n+m) row, so the expansion
+    # must not read that row itself
+    asked = []
+    plain = iid.prob_hetero_bell_poly
+    monkeypatch.setattr(
+        iid, "prob_hetero_bell_poly", lambda d, k, lam: asked.append(k) or plain(d, k, lam)
+    )
+    for d in TRIO:
+        for n in range(1, 4):
+            for m in range(4):
+                asked.clear()
+                order_split_rhs(d, n, m, HALF, HALF)
+                assert asked and max(asked) <= m, (d, n, m, asked)
+    tree = ast.parse(inspect.getsource(iid))
+    taken = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "distributions"
+        for alias in node.names
+    }
+    assert taken == {"Distribution", "raw_moment"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_finite_laws(), _rationals, _rationals, st.integers(0, 4), st.integers(0, 3))
+@example(Poisson(Fraction(5, 4)), Fraction(-1, 3), Fraction(3, 2), 4, 3)
+@example(Bernoulli(Fraction(1, 3)), Fraction(1, 2), Fraction(-2), 3, 3)
+def test_order_split_matches_the_multivariate_engine(d, lam, t, n, m):
+    want = sympoly_oracle.order_split_rhs(d, n, m, t, lam)
+    assert order_split_rhs(d, n, m, t, lam) == want
+    # the law spelled as its raw moments 0..n+m gives the value; one fewer
+    # is one too few for both engines
+    raw = tuple(raw_moment(d, e) for e in range(n + m + 1))
+    assert order_split_rhs(MomentList(raw), n, m, t, lam) == want
+    if n + m:
+        for engine in (order_split_rhs, sympoly_oracle.order_split_rhs):
+            with pytest.raises(MomentUnavailable):
+                engine(MomentList(raw[:-1]), n, m, t, lam)
