@@ -24,13 +24,11 @@ from .arith import format_rational, parse_rational
 from .distributions import format_distribution, parse_distribution
 from .errors import HeterobellError, MissingDistribution, ParseError
 from .hetero import (
+    Route,
     dobinski_details,
     hetero_bell_poly,
     hetero_stirling,
     prob_hetero_bell_poly,
-    prob_hetero_stirling,
-    prob_lah,
-    prob_stirling2,
 )
 from .identities import IDENTITY_TAGS, load_grid_config, run_identities
 from .triangles import (
@@ -42,17 +40,19 @@ from .triangles import (
     stirling2,
 )
 
-# name -> (builder, inputs it reads); a builder takes the indices, then the values of
-# those inputs, and gives entry (n, k) of a table or the polynomial of order n
+# name -> (builder, inputs it reads); a builder takes the index n, then the values of
+# those inputs, and gives row n of a table (entries k = 0..n) or the polynomial of order n
 TABLES = {
-    "stirling2": (stirling2, ()),
-    "stirling1u": (stirling1u, ()),
-    "lah": (lah, ()),
-    "deg_stirling1": (deg_stirling1, ("lambda",)),
-    "hetero": (hetero_stirling, ("lambda",)),
-    "prob_stirling2": (lambda n, k, d: prob_stirling2(d, n, k), ("dist",)),
-    "prob_lah": (lambda n, k, d: prob_lah(d, n, k), ("dist",)),
-    "prob_hetero": (lambda n, k, lam, d: prob_hetero_stirling(d, n, k, lam), ("lambda", "dist")),
+    "stirling2": (lambda n: [stirling2(n, k) for k in range(n + 1)], ()),
+    "stirling1u": (lambda n: [stirling1u(n, k) for k in range(n + 1)], ()),
+    "lah": (lambda n: [lah(n, k) for k in range(n + 1)], ()),
+    "deg_stirling1": (lambda n, lam: [deg_stirling1(n, k, lam) for k in range(n + 1)], ("lambda",)),
+    "hetero": (lambda n, lam: [hetero_stirling(n, k, lam) for k in range(n + 1)], ("lambda",)),
+    # the probabilistic tables print the rows of one PARTIAL_BELL pass, which T2.9
+    # holds equal to the DIRECT rows that the library functions return
+    "prob_stirling2": (lambda n, d: _prob_row(d, n, 0), ("dist",)),
+    "prob_lah": (lambda n, d: _prob_row(d, n, 1), ("dist",)),
+    "prob_hetero": (lambda n, lam, d: _prob_row(d, n, lam), ("lambda", "dist")),
 }
 POLYS = {
     "bell": (bell_poly, ()),
@@ -122,6 +122,11 @@ def _json_record(record: dict) -> str:
     return json.dumps(record, indent=2)
 
 
+def _prob_row(d, n: int, lam) -> list[Fraction]:
+    poly = prob_hetero_bell_poly(d, n, lam, Route.PARTIAL_BELL)
+    return [poly.coeff(k) for k in range(n + 1)]
+
+
 def _builder(registry: dict, name: str, args):
     build, inputs = registry[name]
     if "dist" in inputs and args.dist is None:
@@ -150,13 +155,10 @@ def _emit_rows(args, command: str, params: dict, key: str, values: list, csv_row
 
 
 def cmd_table(args) -> int:
-    entry, read = _builder(TABLES, args.family, args)
+    row, read = _builder(TABLES, args.family, args)
     if args.nmax < 0:
         raise ParseError("--nmax must be >= 0")
-    rows = [
-        [format_rational(entry(n, k, *read.values())) for k in range(n + 1)]
-        for n in range(args.nmax + 1)
-    ]
+    rows = [[format_rational(v) for v in row(n, *read.values())] for n in range(args.nmax + 1)]
     params = _common_parameters(read, family=args.family, nmax=args.nmax, format=args.format)
     csv_rows = [[n] + row for n, row in enumerate(rows)]
     return _emit_rows(args, "table", params, "rows", rows, csv_rows)

@@ -28,25 +28,47 @@ from .triangles import stirling2
 
 
 def _law(cls):
-    """A frozen dataclass that hashes its fields once, on first use.
+    """A frozen dataclass that hashes its fields once, and compares them as ints.
 
     Laws are memo keys everywhere; a MomentList holds dozens of Fractions,
-    and rehashing them on every lookup dominated the cost of a cache hit.
+    and rehashing or comparing them on every lookup dominated the cost of a
+    cache hit, also through a second instance equal to the key.
     """
     cls = dataclass(frozen=True)(cls)
     cls.__hash__ = _cached_hash
+    cls.__eq__ = _key_eq
     return cls
 
 
-def _cached_hash(self) -> int:
-    # the hash dataclass would give; it depends only on the numbers, so a
-    # cached value stays valid across pickle, copy and processes
+def _ints(value) -> tuple[int, ...]:
+    """The numerator and denominator of each Fraction in value, a Fraction or nested tuples of them."""
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    return tuple(itertools.chain.from_iterable(map(_ints, value)))
+
+
+def _key(law) -> tuple[int, ...]:
+    # the hash dataclass would give, then the fields as ints, in one flat tuple; it
+    # depends only on the numbers, so a cached key stays valid across pickle, copy and
+    # processes, and as the Fractions are in lowest terms, two laws of one type are
+    # equal exactly when their keys are
     try:
-        return self.__dict__["_hash"]
+        return law.__dict__["_key"]
     except KeyError:
-        h = hash(tuple(getattr(self, f.name) for f in fields(self)))
-        object.__setattr__(self, "_hash", h)
-        return h
+        values = tuple(getattr(law, f.name) for f in fields(law))
+        key = (hash(values), *_ints(values))
+        object.__setattr__(law, "_key", key)
+        return key
+
+
+def _cached_hash(self) -> int:
+    return _key(self)[0]
+
+
+def _key_eq(self, other) -> bool:
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return self is other or _key(self) == _key(other)
 
 
 @_law
@@ -128,8 +150,10 @@ def raw_moment(d: Distribution, n: int) -> Fraction:
         case Bernoulli(p):
             return Fraction(1) if n == 0 else p
         case Poisson(alpha):
-            # Touchard expansion over set partitions
-            return sum((stirling2(n, k) * alpha**k for k in range(n + 1)), Fraction(0))
+            # Touchard expansion over set partitions: for alpha = a/b,
+            # b**n E[Y**n] = sum_k S(n, k) a**k b**(n-k), an integer
+            a, b = alpha.numerator, alpha.denominator
+            return Fraction(sum(stirling2(n, k) * a**k * b ** (n - k) for k in range(n + 1)), b**n)
         case Constant(c):
             return c**n
         case FiniteSupport(pairs):
@@ -165,20 +189,21 @@ def moment_scale(d: Distribution) -> int:
     raise TypeError(f"not a distribution: {d!r}")
 
 
-def _sum_moment_rows(d: Distribution, n: int) -> Iterator[list[int]]:
-    """Rows j = 0, 1, 2, ... of sigma**m * E[S_j**m], in order, each filled at least for m <= n.
+def _sum_moment_rows(d: Distribution, n: int, start: int = 0) -> Iterator[list[int]]:
+    """Rows j = start, start + 1, ... of sigma**m * E[S_j**m], each filled at least for m <= n.
 
     Row j is the binomial convolution of row j-1 with the scaled raw moments of Y
     (split off the last summand); as sigma**m scales both sides alike, it stays in
     integers.  A row is extended to order n only when the stream reaches it, so the
-    row before it is already long enough; the memoised rows only ever grow.
+    row before it is already long enough, as it must be before row start; the
+    memoised rows only ever grow.
     """
     if n < 0:
         raise ValueError("indices must be >= 0")
     sigma, pascal = moment_scale(d), [[1]]
     with _SUM_MOMENTS_LOCK:
         ys, rows = _SUM_MOMENTS.setdefault(d, ([], []))
-    for j in itertools.count():
+    for j in itertools.count(start):
         with _SUM_MOMENTS_LOCK:
             if j == len(rows):
                 rows.append([1])
@@ -203,57 +228,86 @@ def _nth(items: Iterator, k: int):
     return next(itertools.islice(items, k, None))
 
 
+def _sum_moment_row(d: Distribution, k: int, n: int) -> list[int]:
+    """Row k of the stream, filled at least for m <= n.
+
+    The stream fills rows in order, so every row before one filled to order n is
+    too: the stream starts at the last such row up to k, and one already filled
+    is read at once.  Reading k = 0, 1, 2, ... one call at a time is then linear in k.
+    """
+    if k < 0:
+        raise ValueError("indices must be >= 0")
+    with _SUM_MOMENTS_LOCK:
+        rows = _SUM_MOMENTS.get(d, ([], []))[1]
+        start = max(min(k, len(rows) - 1), 0)
+        while start > 0 and len(rows[start]) <= n:
+            start -= 1
+    return _nth(_sum_moment_rows(d, n, start), k - start)
+
+
 def sum_raw_moment(d: Distribution, k: int, n: int) -> Fraction:
     """E[S_k**n] for S_k the sum of k i.i.d. copies of Y."""
-    return Fraction(_nth(_sum_moment_rows(d, n), k)[n], moment_scale(d) ** n)
+    return Fraction(_sum_moment_row(d, k, n)[n], moment_scale(d) ** n)
 
 
-def scaled_sum_deg_rising_moments(d: Distribution, n: int, lam: Fraction) -> tuple[Iterator[int], int]:
-    """Integers M_k, yielded lazily for k = 0, 1, 2, ..., and D with E<S_k>_{n,lam} = M_k / D.
+def _sum_deg_rising_weights(d: Distribution, n: int, lam: Fraction) -> tuple[list[int], int]:
+    """Integers w_i and D with E<S_k>_{n,lam} = sum_i w_i sigma**i E[S_k**i] / D.
 
     With lam = a/b, b**n <x>_{n,lam} = prod_{r<n} (b*x + r*a) is expanded in
-    integers once per call, and D = (b*sigma)**n.
+    integers, and D = (b*sigma)**n.
     """
     a, b, sigma = lam.numerator, lam.denominator, moment_scale(d)
     coeffs = [1]  # of x**0, x**1, ... in b**r <x>_{r,lam}, for r = 0..n
     for r in range(n):
         coeffs = [r * a * c + b * c_left for c, c_left in zip(coeffs + [0], [0] + coeffs)]
-    weights = [c * sigma ** (n - i) for i, c in enumerate(coeffs)]
-    moments = (sum(map(operator.mul, weights, row)) for row in _sum_moment_rows(d, n))
-    return moments, (b * sigma) ** n
+    return [c * sigma ** (n - i) for i, c in enumerate(coeffs)], (b * sigma) ** n
 
 
-def scaled_deg_rising_moments(d: Distribution, n: int, lam: Fraction) -> tuple[list[int], int]:
-    """Integers u and c with E<Y>_{m,lam} = u[m] / c**m for m = 0..n; c = b*sigma for lam = a/b.
+def scaled_sum_deg_rising_moments(d: Distribution, n: int, lam: Fraction) -> tuple[Iterator[int], int]:
+    """Integers M_k, yielded lazily for k = 0, 1, 2, ..., and D with E<S_k>_{n,lam} = M_k / D.
 
-    Apart from the partial-sum engine: each b**m <x>_{m,lam} is its predecessor times
-    (b*x + (m-1)*a), updated in place, and u[m] its dot product with sigma**i * E[Y**i].
+    The weights of _sum_deg_rising_weights are expanded once per call.
     """
-    if n < 0:
-        raise ValueError("moment order must be >= 0")
+    weights, scale = _sum_deg_rising_weights(d, n, lam)
+    return (sum(map(operator.mul, weights, row)) for row in _sum_moment_rows(d, n)), scale
+
+
+def scaled_deg_rising_moments(d: Distribution, lam: Fraction) -> tuple[Iterator[int], int]:
+    """Integers u_m, yielded lazily for m = 0, 1, 2, ..., and c with E<Y>_{m,lam} = u_m / c**m.
+
+    For lam = a/b, c = b*sigma.  Apart from the partial-sum engine: each b**m <x>_{m,lam}
+    is its predecessor times (b*x + (m-1)*a), updated in place, and u_m its dot product
+    with sigma**m * E[Y**i], i = 0..m.  Order m reads raw_moment(d, m) when it is reached.
+    """
     a, b, sigma = lam.numerator, lam.denominator, moment_scale(d)
-    ys = [times(raw_moment(d, i), sigma**i) for i in range(n + 1)]
-    poly, us = [1] + [0] * n, [1]
-    for m in range(1, n + 1):
-        for i in range(m, 0, -1):
-            poly[i] = b * poly[i - 1] + (m - 1) * a * poly[i]
-        poly[0] *= (m - 1) * a
-        us.append(sum(poly[i] * sigma ** (m - i) * ys[i] for i in range(m + 1)))
-    return us, b * sigma
+
+    def moments() -> Iterator[int]:
+        poly, zs = [1], [1]  # coefficients of b**m <x>_{m,lam}; sigma**m * E[Y**i]
+        yield 1
+        for m in itertools.count(1):
+            zs = [z * sigma for z in zs]
+            zs.append(times(raw_moment(d, m), sigma**m))
+            poly.append(0)
+            for i in range(m, 0, -1):
+                poly[i] = b * poly[i - 1] + (m - 1) * a * poly[i]
+            poly[0] *= (m - 1) * a
+            yield sum(map(operator.mul, poly, zs))
+
+    return moments(), b * sigma
 
 
 @lru_cache(maxsize=None)
 def deg_rising_moment(d: Distribution, n: int, lam: Fraction) -> Fraction:
     """E of the degenerate rising factorial of Y itself."""
-    us, scale = scaled_deg_rising_moments(d, n, Fraction(lam))
-    return Fraction(us[n], scale**n)
+    moments, scale = scaled_deg_rising_moments(d, Fraction(lam))
+    return Fraction(_nth(moments, n), scale**n)
 
 
 @lru_cache(maxsize=None)
 def sum_deg_rising_moment(d: Distribution, k: int, n: int, lam: Fraction) -> Fraction:
     """E of the degenerate rising factorial of the partial sum S_k."""
-    moments, scale = scaled_sum_deg_rising_moments(d, n, Fraction(lam))
-    return Fraction(_nth(moments, k), scale)
+    weights, scale = _sum_deg_rising_weights(d, n, Fraction(lam))
+    return Fraction(sum(map(operator.mul, weights, _sum_moment_row(d, k, n))), scale)
 
 
 def support_bound(d: Distribution) -> Fraction | None:

@@ -13,14 +13,17 @@ import enum
 import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .arith import RationalLike, binomial, factorial, times
 from .distributions import (
     Distribution,
     moment_scale,
+    raw_moment,
     scaled_deg_rising_moments,
     scaled_sum_deg_rising_moments,
     support_bound,
@@ -103,26 +106,48 @@ def _row(d: Distribution, n: int, lam: Fraction, route: Route) -> Polynomial:
             entries.append(Fraction(total, den * b**n))
         return Polynomial(entries)
     # PARTIAL_BELL: B_{n,k} of the single-copy moments E<Y>_{m,lam}, m = 1..n
-    moments, scale = scaled_deg_rising_moments(d, n, lam)
-    return Polynomial(Fraction(v, scale**n) for v in _scaled_bell_rows(moments, n)[n])
+    rows, scale = _bell_rows(d, n, lam)
+    return Polynomial(Fraction(v, scale**n) for v in rows[n])
 
 
-def _scaled_bell_rows(us: list[int], n: int) -> list[list[int]]:
-    """Rows m = 0..n of c**m B_{m,k}(x_1, x_2, ...), k = 0..m, given u_i = c**i x_i.
+# (law, lam) -> (stream of the single-copy moments u_m, their scale c, the u_m drawn so far,
+# rows m = 0, 1, ... of c**m B_{m,k}(E<Y>_{1,lam}, E<Y>_{2,lam}, ...)); all int, the lists only grow
+_BellRows = tuple[Iterator[int], int, list[int], list[tuple[int, ...]]]
+_BELL_ROWS: dict[tuple[Distribution, Fraction], _BellRows] = {}
+_BELL_ROWS_LOCK = threading.Lock()
 
-    The top-element recurrence B_{m,k} = sum_i C(m-1, i-1) x_i B_{m-i,k-1} (Comtet,
-    Advanced Combinatorics, 1974, 3.3), on row m as a polynomial Q_m in t:
-    Q_m = t sum_i C(m-1, i-1) u_i Q_{m-i}.
+
+def _bell_rows(d: Distribution, n: int, lam: Fraction) -> tuple[list[tuple[int, ...]], int]:
+    """Rows 0..n, at least, of c**m B_{m,k} of the single-copy moments, and c.
+
+    The rows of (d, lam) are kept and extended in order, so reading rows 0..n one
+    call at a time costs one pass.  Row m is the top-element recurrence
+    B_{m,k} = sum_i C(m-1, i-1) x_i B_{m-i,k-1} (Comtet, Advanced Combinatorics,
+    1974, 3.3) on whole rows, as a polynomial Q_m in t:
+    Q_m = t sum_i C(m-1, i-1) u_i Q_{m-i}, with u_i = c**i x_i.
     """
-    rows = [[1]]
-    for m in range(1, n + 1):
-        row = [0] * (m + 1)
-        for i in range(1, m + 1):
-            weight = binomial(m - 1, i - 1) * us[i]
-            for k, v in enumerate(rows[m - i]):
-                row[k + 1] += weight * v
-        rows.append(row)
-    return rows
+    # called only when the _row memo misses, so it takes the lock every time
+    with _BELL_ROWS_LOCK:
+        entry = _BELL_ROWS.get((d, lam))
+        us = entry[2] if entry else []
+        # a law that cannot supply an order up to n raises here, before the memo
+        # changes, so the moment stream never meets it and stays usable
+        for m in range(len(us), n + 1):
+            raw_moment(d, m)
+        if entry is None:
+            entry = _BELL_ROWS[(d, lam)] = (*scaled_deg_rising_moments(d, lam), us, [(1,)])
+        moments, scale, us, rows = entry
+        while len(us) <= n:
+            us.append(next(moments))
+        while len(rows) <= n:
+            m = len(rows)
+            row = [0] * (m + 1)
+            for i in range(1, m + 1):
+                weight = binomial(m - 1, i - 1) * us[i]
+                for k, v in enumerate(rows[m - i]):
+                    row[k + 1] += weight * v
+            rows.append(tuple(row))
+    return rows, scale
 
 
 def prob_hetero_stirling(
@@ -156,13 +181,12 @@ def prob_hetero_bell_recurrence(d: Distribution, n_max: int, lam: RationalLike) 
     """Polynomials of order 0..n_max built by the moment-weighted recurrence.
 
     Each step multiplies by x a binomial convolution of single-copy degenerate rising moments
-    against the earlier polynomials: the loop of the PARTIAL_BELL route, independent of DIRECT.
+    against the earlier polynomials: the rows of the PARTIAL_BELL route, independent of DIRECT.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    moments, scale = scaled_deg_rising_moments(d, n_max, Fraction(lam))
-    rows = _scaled_bell_rows(moments, n_max)
-    return [Polynomial(Fraction(v, scale**n) for v in row) for n, row in enumerate(rows)]
+    lam = Fraction(lam)
+    return [_row(d, n, lam, Route.PARTIAL_BELL) for n in range(n_max + 1)]
 
 
 def hetero_derivative(d: Distribution, n: int, lam: RationalLike, k: int) -> Polynomial:

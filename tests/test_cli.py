@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from heterobell import bell_poly, hetero_stirling, prob_hetero_bell_poly, stirling2
+from heterobell import bell_poly, hetero, hetero_stirling, prob_hetero_bell_poly, stirling2
 from heterobell.cli import main
 
 from .oracles import BERN_THIRD
@@ -153,6 +153,18 @@ def test_moment_exhaustion_reported(capsys):
     )
     assert code == 2
     assert "moment" in err
+
+
+@pytest.mark.parametrize("family", ["prob_hetero", "prob_stirling2", "prob_lah"])
+def test_short_moment_list_exits_2_and_leaves_the_rows_unchanged(capsys, family):
+    def memo():
+        return {key: (entry[1], list(entry[2]), list(entry[3])) for key, entry in hetero._BELL_ROWS.items()}
+
+    argv = ("table", family, "--nmax", "5", "--dist", "moments:1,1/2,1/3", "--lambda", "1/3")
+    assert run_cli(capsys, *argv[:3], "2", *argv[4:])[0] == 0
+    before = memo()
+    assert run_cli(capsys, *argv) == (2, "", "error: moment of order 3 requested, only 2 supplied\n")
+    assert memo() == before
 
 
 def test_verify_single_tag(capsys):

@@ -135,8 +135,8 @@ def test_poisson_moments_frozen():
 
 
 def test_poisson_moments_against_recurrence_oracle():
-    for alpha in [Fraction(1), Fraction(3), Fraction(2, 7)]:
-        for n in range(9):
+    for alpha in [Fraction(1), Fraction(3), Fraction(2, 7), Fraction(5, 4)]:
+        for n in range(41):
             assert raw_moment(Poisson(alpha), n) == oracles.poisson_moment_rec(alpha, n)
 
 
@@ -236,6 +236,28 @@ def test_sum_moment_of_many_copies():
     assert sum_raw_moment(Bernoulli(Fraction(1, 2)), 1500, 1) == 750
 
 
+def test_reading_one_k_at_a_time_walks_each_row_about_once(monkeypatch):
+    engine, walked = heterobell.distributions._sum_moment_rows, []
+
+    def counted(*args):
+        for row in engine(*args):
+            walked.append(row)
+            yield row
+
+    monkeypatch.setattr(heterobell.distributions, "_sum_moment_rows", counted)
+    clear_caches()
+    p, lam = Fraction(1, 2), Fraction(1, 3)
+    for k in range(301):
+        # <x>_{1,lam} = x, so both are E[S_k] = k p
+        assert sum_deg_rising_moment(Bernoulli(p), k, 1, lam) == sum_raw_moment(Bernoulli(p), k, 1) == k * p
+    assert len(walked) <= 3 * 301
+    walked.clear()
+    assert sum_raw_moment(Bernoulli(p), 150, 1) == 75 and len(walked) == 1  # a filled row is read at once
+    walked.clear()
+    # rows filled only to order 1 are extended from row 0 on
+    assert sum_raw_moment(Bernoulli(p), 150, 2) == Fraction(150 * 151, 4) and len(walked) == 151
+
+
 def test_zero_fold_sum():
     for n in range(4):
         assert sum_raw_moment(BERN_THIRD, 0, n) == (1 if n == 0 else 0)
@@ -281,6 +303,25 @@ def test_equal_laws_hash_equal_and_survive_pickle_and_copy(texts):
             assert twin == law and hash(twin) == hash(law)
             assert twin in {law} and {law: "hit"}[twin] == "hit"
     assert parse_distribution(texts[1]) in {law}
+
+
+def test_equal_laws_compare_without_fraction_arithmetic(monkeypatch):
+    mu = [Fraction(1, n + 1) for n in range(41)]
+    law, twin = MomentList(tuple(mu)), MomentList(tuple(Fraction(2, 2 * n + 2) for n in range(41)))
+    shorter, other = MomentList(tuple(mu[:-1])), MomentList(tuple(mu[:-1] + [Fraction(1, 43)]))
+    calls = []
+    plain = Fraction.__eq__
+    monkeypatch.setattr(Fraction, "__eq__", lambda q, other: calls.append(q) or plain(q, other))
+    for _ in range(3):
+        assert law == twin and twin == law
+        assert law != shorter and law != other
+        assert {law: "hit"}[twin] == "hit"
+    assert calls == []
+    monkeypatch.undo()
+    # the same numbers in another law are another law
+    half = Fraction(1, 2)
+    assert Bernoulli(half) != Poisson(half) != Constant(half) != Bernoulli(Fraction(1, 3))
+    assert Bernoulli(half) != half and Bernoulli(half) == Bernoulli(Fraction(2, 4))
 
 
 def test_law_hashes_its_fields_once(monkeypatch):
@@ -365,8 +406,10 @@ def test_clear_caches_empties_every_memo():
     caches = _package_lru_caches()
     assert len(caches) == 8
     assert all(cache.cache_info().currsize for cache in caches.values())
+    assert heterobell.hetero._BELL_ROWS
     clear_caches()
     assert {name: cache.cache_info().currsize for name, cache in caches.items()} == dict.fromkeys(caches, 0)
     assert heterobell.triangles._ROWS == {}
     assert heterobell.distributions._SUM_MOMENTS == {}
+    assert heterobell.hetero._BELL_ROWS == {}
     assert compute() == before

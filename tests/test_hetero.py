@@ -1,10 +1,17 @@
+import contextlib
+import io
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import heterobell
 from heterobell import (
     Bernoulli,
     Constant,
@@ -20,11 +27,13 @@ from heterobell import (
     clear_caches,
     distributions,
     dobinski_details,
+    format_distribution,
     hetero,
     hetero_bell_poly,
     hetero_derivative,
     hetero_stirling,
     lah,
+    parse_distribution,
     prob_hetero_bell_poly,
     prob_hetero_bell_recurrence,
     prob_hetero_stirling,
@@ -34,6 +43,8 @@ from heterobell import (
     stirling2,
     triangles,
 )
+
+from heterobell.cli import main
 
 from . import oracles
 from .oracles import BERN_HALF, BERN_THIRD, CONST_ONE, FS_ZERO_TWO, POISSON_ONE, TRIO
@@ -194,6 +205,90 @@ def test_routes_agree_on_random_laws(d, lam, n):
                 prob_hetero_bell_poly(short, n, lam, route)
         with pytest.raises(MomentUnavailable):
             prob_hetero_bell_recurrence(short, n, lam)
+
+
+_laws = st.one_of(
+    _finite_laws(),
+    st.fractions(0, 1, max_denominator=9).map(Bernoulli),
+    st.fractions(min_value=Fraction(1, 9), max_value=3, max_denominator=9).map(Poisson),
+    # any rational sequence from 1 on: the routes agree as identities in the moments
+    st.lists(_rationals, min_size=40, max_size=40).map(lambda mu: MomentList((1, *mu))),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_laws, _rationals, st.integers(0, 40), st.sampled_from(("prob_hetero", "prob_stirling2", "prob_lah")))
+@example(Poisson(Fraction(5, 4)), Fraction(1, 3), 40, "prob_hetero")
+@example(MomentList(tuple(Fraction(3, 3 + i) for i in range(41))), Fraction(-5, 2), 40, "prob_lah")
+def test_table_rows_equal_direct_rows_on_random_laws(d, lam, nmax, family):
+    argv = ["table", family, "--nmax", str(nmax), "--dist", format_distribution(d), f"--lambda={lam}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    lam = {"prob_stirling2": 0, "prob_lah": 1}.get(family, lam)
+    want = [[prob_hetero_stirling(d, n, k, lam, Route.DIRECT) for k in range(n + 1)] for n in range(nmax + 1)]
+    assert [[Fraction(v) for v in row] for row in json.loads(out.getvalue())["rows"]] == want
+
+
+def test_table_reads_one_partial_bell_row_per_n():
+    clear_caches()
+    law, lam = Poisson(Fraction(5, 4)), Fraction(1, 3)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["table", "prob_hetero", "--nmax", "12", "--dist", "poisson:5/4", "--lambda", "1/3"]) == 0
+    info = hetero._row.cache_info()
+    assert (info.hits, info.misses) == (0, 13)
+    assert len(hetero._BELL_ROWS[(law, lam)][3]) == 13
+    assert distributions._SUM_MOMENTS == {}  # DIRECT is not read
+
+
+def test_rows_read_one_at_a_time_make_one_pass(monkeypatch):
+    streams, rows_made = [], []
+    stream = hetero.scaled_deg_rising_moments
+    monkeypatch.setattr(hetero, "scaled_deg_rising_moments", lambda *a: streams.append(a) or stream(*a))
+    clear_caches()
+    law, lam = _COUNTED_LAWS[0], Fraction(-5, 2)
+    for n in range(41):
+        prob_hetero_bell_poly(law, n, lam, Route.PARTIAL_BELL)
+        rows_made.append(len(hetero._BELL_ROWS[(law, lam)][3]))
+    assert streams == [(law, lam)]  # the moments are drawn from one stream
+    assert rows_made == list(range(1, 42))  # and each call adds only the row it asks for
+    row = prob_hetero_bell_poly(law, 40, lam, Route.PARTIAL_BELL)
+    assert prob_hetero_bell_recurrence(law, 40, lam)[40] is row
+
+
+def test_rows_read_out_of_order_equal_a_fresh_process():
+    law_text = "finite:-3/2:1/4,1/2:1/4,5/2:1/2"
+    argv = ["table", "prob_hetero", "--nmax", "20", "--dist", law_text, "--lambda=-5/7"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(heterobell.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "heterobell", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0
+    clear_caches()
+    law, lam = parse_distribution(law_text), Fraction(-5, 7)
+    for n in (10, 5, 20):
+        prob_hetero_bell_poly(law, n, lam, Route.PARTIAL_BELL)
+    assert len(hetero._BELL_ROWS[(law, lam)][3]) == 21
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.getvalue() == proc.stdout
+
+
+def test_short_moment_list_leaves_the_rows_unchanged():
+    clear_caches()
+    short, lam = MomentList((1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))), Fraction(1, 3)
+    two = prob_hetero_bell_poly(short, 2, lam, Route.PARTIAL_BELL)
+    entry = hetero._BELL_ROWS[(short, lam)]
+    before = (entry[0], entry[1], list(entry[2]), list(entry[3]))
+    for n in (4, 9):
+        with pytest.raises(MomentUnavailable, match="order 4 requested, only 3 supplied"):
+            prob_hetero_bell_poly(short, n, lam, Route.PARTIAL_BELL)
+        assert hetero._BELL_ROWS == {(short, lam): entry}
+        assert (entry[0], entry[1], list(entry[2]), list(entry[3])) == before
+    # the kept moment stream goes on from where it stopped
+    assert prob_hetero_bell_poly(short, 3, lam, Route.PARTIAL_BELL) == prob_hetero_bell_poly(short, 3, lam)
+    assert prob_hetero_bell_poly(short, 2, lam, Route.PARTIAL_BELL) is two
 
 
 _COUNTED_N, _COUNTED_LAM = 12, Fraction(-13, 7)
