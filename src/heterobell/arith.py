@@ -32,7 +32,8 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: RationalLike) -> str:
     """Render exactly as 'num/den', or plain 'num' when the denominator is 1."""
-    return str(Fraction(q))
+    # an int or a Fraction already prints so; only other numbers go through Fraction
+    return str(q) if type(q) is int or type(q) is Fraction else str(Fraction(q))
 
 
 def factorial(n: int) -> int:

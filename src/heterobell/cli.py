@@ -14,40 +14,30 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .arith import format_rational, parse_rational
 from .distributions import format_distribution, parse_distribution
 from .errors import HeterobellError, MissingDistribution, ParseError
-from .hetero import (
-    Route,
-    dobinski_details,
-    hetero_bell_poly,
-    hetero_stirling,
-    prob_hetero_bell_poly,
-)
+from .hetero import Route, dobinski_details, hetero_bell_poly, prob_hetero_bell_poly
 from .identities import IDENTITY_TAGS, load_grid_config, run_identities
-from .triangles import (
-    bell_poly,
-    deg_stirling1,
-    lah,
-    lah_bell_poly,
-    stirling1u,
-    stirling2,
-)
+from .triangles import bell_poly, lah_bell_poly, triangle_row
 
 # name -> (builder, inputs it reads); a builder takes the index n, then the values of
 # those inputs, and gives row n of a table (entries k = 0..n) or the polynomial of order n
 TABLES = {
-    "stirling2": (lambda n: [stirling2(n, k) for k in range(n + 1)], ()),
-    "stirling1u": (lambda n: [stirling1u(n, k) for k in range(n + 1)], ()),
-    "lah": (lambda n: [lah(n, k) for k in range(n + 1)], ()),
-    "deg_stirling1": (lambda n, lam: [deg_stirling1(n, k, lam) for k in range(n + 1)], ("lambda",)),
-    "hetero": (lambda n, lam: [hetero_stirling(n, k, lam) for k in range(n + 1)], ("lambda",)),
+    # the deterministic tables read one triangle row from the memo per n
+    "stirling2": (lambda n: triangle_row(0, 1, n), ()),
+    "stirling1u": (lambda n: triangle_row(1, 0, n), ()),
+    "lah": (lambda n: triangle_row(1, 1, n), ()),
+    "deg_stirling1": (lambda n, lam: triangle_row(1, -lam, n), ("lambda",)),
+    "hetero": (lambda n, lam: triangle_row(lam, 1, n), ("lambda",)),
     # the probabilistic tables print the rows of one PARTIAL_BELL pass, which T2.9
     # holds equal to the DIRECT rows that the library functions return
     "prob_stirling2": (lambda n, d: _prob_row(d, n, 0), ("dist",)),
@@ -62,6 +52,8 @@ POLYS = {
 }
 
 
+# argparse parsers are reusable, so one serves every main() call of the process
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heterobell",
@@ -144,7 +136,7 @@ def _common_parameters(read: dict, **extra) -> dict:
     }
 
 
-def _emit_rows(args, command: str, params: dict, key: str, values: list, csv_rows: list) -> int:
+def _emit_rows(args, command: str, params: dict, key: str, values: list, csv_rows: Iterable) -> int:
     if args.format == "json":
         _emit(_json_record({"command": command, "parameters": params, key: values}), args.out)
     else:
@@ -160,7 +152,7 @@ def cmd_table(args) -> int:
         raise ParseError("--nmax must be >= 0")
     rows = [[format_rational(v) for v in row(n, *read.values())] for n in range(args.nmax + 1)]
     params = _common_parameters(read, family=args.family, nmax=args.nmax, format=args.format)
-    csv_rows = [[n] + row for n, row in enumerate(rows)]
+    csv_rows = ([n] + row for n, row in enumerate(rows))  # a generator: built for csv only
     return _emit_rows(args, "table", params, "rows", rows, csv_rows)
 
 
@@ -171,7 +163,7 @@ def cmd_poly(args) -> int:
     poly = build(args.n, *read.values())
     coeffs = [format_rational(poly.coeff(i)) for i in range(args.n + 1)]
     params = _common_parameters(read, kind=args.kind, n=args.n, format=args.format)
-    csv_rows = [["power", "coefficient"], *enumerate(coeffs)]
+    csv_rows = itertools.chain([("power", "coefficient")], enumerate(coeffs))
     return _emit_rows(args, "poly", params, "coefficients", coeffs, csv_rows)
 
 

@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedDistribution,
 )
 from .polynomial import Polynomial
-from .triangles import stirling1u, triangle_entry
+from .triangles import stirling1u, triangle_entry, triangle_row
 
 
 class Route(enum.Enum):
@@ -61,11 +61,8 @@ def hetero_stirling(n: int, k: int, lam: Fraction) -> Fraction:
 
 
 def hetero_bell_poly(n: int, lam: RationalLike) -> Polynomial:
-    """Heterogeneous Bell polynomial: coefficient k is hetero_stirling(n, k)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    lam = Fraction(lam)
-    return Polynomial(hetero_stirling(n, k, lam) for k in range(n + 1))
+    """Heterogeneous Bell polynomial: coefficient k is hetero_stirling(n, k), read as one row."""
+    return Polynomial(triangle_row(lam, 1, n))
 
 
 # memoised per entry as well: the benchmark reads cache_info() from it

@@ -15,7 +15,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Callable, Iterable, Sequence
 
-from .arith import binomial, deg_rising_factorial, factorial, parse_rational
+from .arith import binomial, deg_rising_factorial, factorial, format_rational, parse_rational
 from .distributions import (
     Bernoulli,
     Poisson,
@@ -63,7 +63,7 @@ class IdentityReport:
 def _render(value) -> str:
     if isinstance(value, Polynomial):
         return "[" + ", ".join(str(c) for c in value.coeffs) + "]"
-    return str(Fraction(value))
+    return format_rational(value)
 
 
 def _as_list(value) -> list[str]:
@@ -157,25 +157,28 @@ def _check_poly_sequence_bell(dist, n: int, k: int, lam: Fraction, x: Fraction):
     return left == right, left, right, None
 
 
-def _check_poisson_moment(alpha: Fraction, k: int, n: int, lam: Fraction):
-    left = sum_deg_rising_moment(Poisson(alpha), k, n, lam)
-    right = hetero_bell_poly(n, lam)(k * alpha)
+# T2.16 to T2.20 take the law itself as alpha or p, read by _PARAMS, which prints its parameter
+
+
+def _check_poisson_moment(alpha: Poisson, k: int, n: int, lam: Fraction):
+    left = sum_deg_rising_moment(alpha, k, n, lam)
+    right = hetero_bell_poly(n, lam)(k * alpha.alpha)
     return left == right, left, right, None
 
 
-def _check_poisson_poly(alpha: Fraction, n: int, lam: Fraction):
-    left = prob_hetero_bell_poly(Poisson(alpha), n, lam)
+def _check_poisson_poly(alpha: Poisson, n: int, lam: Fraction):
+    left = prob_hetero_bell_poly(alpha, n, lam)
     right = Polynomial.zero()
     for k in range(n + 1):
         h = hetero_stirling(n, k, lam)
         if h:
-            right = right + h * alpha**k * bell_poly(k)
+            right = right + h * alpha.alpha**k * bell_poly(k)
     return left == right, left, right, None
 
 
-def _check_bernoulli_scaling(p: Fraction, n: int, lam: Fraction):
-    left = prob_hetero_bell_poly(Bernoulli(p), n, lam)
-    right = hetero_bell_poly(n, lam).scale_arg(p)
+def _check_bernoulli_scaling(p: Bernoulli, n: int, lam: Fraction):
+    left = prob_hetero_bell_poly(p, n, lam)
+    right = hetero_bell_poly(n, lam).scale_arg(p.p)
     return left == right, left, right, None
 
 
@@ -189,11 +192,11 @@ def _check_block_sum(n: int, k: int, lam: Fraction):
     return left == right, left, right, None
 
 
-def _check_bernoulli_moment(p: Fraction, k: int, n: int, lam: Fraction):
-    left = sum_deg_rising_moment(Bernoulli(p), k, n, lam)
+def _check_bernoulli_moment(p: Bernoulli, k: int, n: int, lam: Fraction):
+    left = sum_deg_rising_moment(p, k, n, lam)
     right = Polynomial(
         binomial(k, j) * factorial(j) * hetero_stirling(n, j, lam) for j in range(n + 1)
-    )(p)
+    )(p.p)
     return left == right, left, right, None
 
 
@@ -245,12 +248,17 @@ def _read(parse: Callable, convert: Callable = lambda v: v) -> Callable:
 _RATIONAL = _read(parse_rational, Fraction)
 
 
+def _law(cls: type) -> Callable:
+    # a grid reads each listed value once, so all its points share one law object
+    return lambda v: v if isinstance(v, cls) else cls(_RATIONAL(v))
+
+
 _PARAMS: dict[str, tuple[Callable, Callable]] = {
     "dist": (_read(parse_distribution), format_distribution),
     **dict.fromkeys(("lam", "x", "y", "t"), (_RATIONAL, str)),
-    # a law's parameter is read through the law, which rejects one out of its range
-    "alpha": (lambda v: Poisson(_RATIONAL(v)).alpha, str),
-    "p": (lambda v: Bernoulli(_RATIONAL(v)).p, str),
+    # a law's parameter is read into the law, which rejects one out of its range
+    "alpha": (_law(Poisson), lambda d: str(d.alpha)),
+    "p": (_law(Bernoulli), lambda d: str(d.p)),
     "lambdas": (lambda qs: tuple(map(_RATIONAL, qs)), lambda qs: f"({', '.join(map(str, qs))})"),
     **dict.fromkeys(("n", "m", "k"), (int, str)),
 }

@@ -56,11 +56,25 @@ def _entry(a: int, b: int, q: int, n: int, k: int) -> int:
     return _row(a, b, q, n)[k] if k <= n else 0
 
 
-def triangle_entry(a: RationalLike, b: RationalLike, n: int, k: int) -> Fraction:
-    """Entry (n, k) of the triangle with rational weights (a, b)."""
+def _weights(a: RationalLike, b: RationalLike) -> tuple[int, int, int]:
+    """(q*a, q*b, q), with q the least common denominator of the weights a and b."""
     a, b = Fraction(a), Fraction(b)
     q = math.lcm(a.denominator, b.denominator)
-    return Fraction(_entry(int(a * q), int(b * q), q, n, k), q**n)
+    return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q
+
+
+def triangle_row(a: RationalLike, b: RationalLike, n: int) -> Sequence[RationalLike]:
+    """Row n (entries k = 0..n) of the triangle with rational weights (a, b): the
+    memo's own tuple of int when both weights are integers, else one Fraction per entry."""
+    a, b, q = _weights(a, b)
+    row, den = _row(a, b, q, n), q**n
+    return row if q == 1 else [Fraction(v, den) for v in row]
+
+
+def triangle_entry(a: RationalLike, b: RationalLike, n: int, k: int) -> Fraction:
+    """Entry (n, k) of the triangle with rational weights (a, b)."""
+    a, b, q = _weights(a, b)
+    return Fraction(_entry(a, b, q, n, k), q**n)
 
 
 def stirling2(n: int, k: int) -> int:

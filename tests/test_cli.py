@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,8 +8,18 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from heterobell import bell_poly, hetero, hetero_stirling, prob_hetero_bell_poly, stirling2
+from heterobell import (
+    bell_poly,
+    deg_stirling1,
+    hetero,
+    hetero_stirling,
+    prob_hetero_bell_poly,
+    stirling2,
+)
+from heterobell import cli
 from heterobell.cli import main
 
 from .oracles import BERN_THIRD
@@ -426,3 +437,46 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv, needle):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert needle in err
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam=st.fractions(min_value=-4, max_value=4, max_denominator=9), nmax=st.integers(0, 12))
+@example(lam=Fraction(3), nmax=12)
+@example(lam=Fraction(-2), nmax=12)
+@example(lam=Fraction(-12, 7), nmax=12)
+def test_lambda_tables_equal_the_entry_functions(lam, nmax):
+    entries = {"hetero": hetero_stirling, "deg_stirling1": deg_stirling1}
+    for family, entry in entries.items():
+        # a negative lambda goes as --lambda=-a/b
+        code, out, err = _in_process(["table", family, "--nmax", str(nmax), f"--lambda={lam}"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["rows"] == [
+            [str(entry(n, k, lam)) for k in range(n + 1)] for n in range(nmax + 1)
+        ]
+
+
+def test_parser_reuse_leaks_nothing_between_calls():
+    calls = [
+        ("table", "hetero", "--lambda", "1/2", "--format", "csv", "--nmax", "3"),
+        ("table", "hetero", "--nmax", "2"),
+        ("table", "prob_hetero", "--dist", "bernoulli:1/3", "--lambda", "1/3", "--nmax", "3"),
+        ("table", "prob_hetero", "--nmax", "3"),
+    ]
+    got = [_in_process(argv) for argv in calls]
+    fresh = [
+        subprocess.run([sys.executable, "-m", "heterobell", *argv], capture_output=True)
+        for argv in calls
+    ]
+    # bytes, so that the csv line ends stay as written
+    assert got == [(proc.returncode, proc.stdout.decode(), proc.stderr.decode()) for proc in fresh]
+    code, out, err = got[-1]
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "--dist" in err
+    assert cli._build_parser() is cli._build_parser()

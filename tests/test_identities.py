@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 from fractions import Fraction
@@ -6,7 +7,9 @@ import pytest
 
 from heterobell import (
     IDENTITY_TAGS,
+    Bernoulli,
     UnknownIdentity,
+    clear_caches,
     format_distribution,
     run_identities,
     run_identity,
@@ -189,6 +192,8 @@ def _shown(point: dict) -> str:
             return format_distribution(value)
         if key == "lambdas":
             return ",".join(str(q) for q in value)
+        if key in ("alpha", "p"):  # the grid holds the law, shown by its parameter
+            return str(getattr(value, key, value))
         return str(value)
 
     return " ".join(f"{key}={text(key, value)}" for key, value in point.items())
@@ -248,3 +253,16 @@ def test_shipped_grid_report_is_pinned(tag):
     reports = [r.as_dict() for r in run_identity(tag)]
     digest = hashlib.sha256(json.dumps(reports, indent=2).encode()).hexdigest()
     assert digest == REPORT_SHA256.get(tag), f"{tag} report digest {digest}"
+
+
+def test_grid_points_share_one_law_per_listed_value():
+    def live() -> int:
+        gc.collect()
+        return sum(type(obj) is Bernoulli for obj in gc.get_objects())
+
+    clear_caches()
+    before = live()
+    run_identity("T2.20")
+    ps = [s for s in load_grid_config().sections["T2.20"]["ps"].split(";") if s.strip()]
+    # the memos keep the law of each point they missed on: one object per listed p
+    assert live() - before <= len(ps)

@@ -6,7 +6,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heterobell
@@ -23,6 +23,8 @@ from heterobell import (
     stirling1u,
     stirling2,
 )
+
+from heterobell.triangles import triangle_entry, triangle_row
 
 from . import oracles
 
@@ -276,3 +278,19 @@ def test_bell_polys_wrap_triangle_rows():
     assert bell_poly(6)(1) == BELL_NUMBERS[6]
     assert lah_bell_poly(3).coeffs == (0, 6, 6, 1)
     assert lah_bell_poly(0).coeffs == (1,)
+
+
+_WEIGHT = st.fractions(min_value=-5, max_value=5, max_denominator=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_WEIGHT, b=_WEIGHT, n=st.integers(0, 30))
+@example(a=-3, b=2, n=30)
+@example(a=Fraction(-13, 7), b=Fraction(1), n=30)
+@example(a=Fraction(1), b=Fraction(-5, 2), n=0)
+def test_triangle_row_equals_the_entries(a, b, n):
+    # negative, integer and non-integer weights; ints when both weights are integers
+    row = triangle_row(a, b, n)
+    assert list(row) == [triangle_entry(a, b, n, k) for k in range(n + 1)]
+    whole = Fraction(a).denominator == Fraction(b).denominator == 1
+    assert {type(v) for v in row} == {int if whole else Fraction}
