@@ -19,7 +19,7 @@ import threading
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import RationalLike, factorial
+from .arith import RationalLike, factorial, times
 from .errors import InsufficientSequence
 from .polynomial import Polynomial
 
@@ -60,7 +60,7 @@ def _weights(a: RationalLike, b: RationalLike) -> tuple[int, int, int]:
     """(q*a, q*b, q), with q the least common denominator of the weights a and b."""
     a, b = Fraction(a), Fraction(b)
     q = math.lcm(a.denominator, b.denominator)
-    return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q
+    return times(a, q), times(b, q), q
 
 
 def triangle_row(a: RationalLike, b: RationalLike, n: int) -> Sequence[RationalLike]:
