@@ -29,7 +29,6 @@ from .distributions import (
     raw_moment,
     sum_deg_rising_moment,
     sum_raw_moment,
-    support_bound,
 )
 from .errors import (
     HeterobellError,

@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--nmax", type=int, required=True)
     p_table.add_argument("--lambda", dest="lam", type=parse_rational, default=Fraction(0),
                          metavar="RAT", help="deformation parameter (rational, default 0)")
-    p_table.add_argument("--dist", type=parse_distribution, default=None,
+    p_table.add_argument("--dist", default=None,
                          help="distribution, e.g. bernoulli:1/3 or finite:0:1/2,2:1/2")
     p_table.add_argument("--format", choices=("csv", "json"), default="json")
     p_table.add_argument("--out", default=None)
@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--n", type=int, required=True)
     p_poly.add_argument("--lambda", dest="lam", type=parse_rational, default=Fraction(0),
                         metavar="RAT")
-    p_poly.add_argument("--dist", type=parse_distribution, default=None)
+    p_poly.add_argument("--dist", default=None)
     p_poly.add_argument("--format", choices=("csv", "json"), default="json")
     p_poly.add_argument("--out", default=None)
     p_poly.set_defaults(func=cmd_poly)
@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_dob = sub.add_parser("dobinski", help="series evaluation with certified error")
-    p_dob.add_argument("--dist", type=parse_distribution, required=True)
+    p_dob.add_argument("--dist", required=True)
     p_dob.add_argument("--n", type=int, required=True)
     p_dob.add_argument("--lambda", dest="lam", type=parse_rational, default=Fraction(0),
                        metavar="RAT")
@@ -231,6 +231,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # read here, not by argparse, so a bad law exits with its own reason, read or not
+        if getattr(args, "dist", None) is not None:
+            args.dist = parse_distribution(args.dist)
         return args.func(args)
     except (HeterobellError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,59 +20,77 @@ import threading
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 from .arith import format_rational, parse_rational, times
 from .errors import MomentUnavailable, ParseError
 from .triangles import stirling2
 
 
-def _law(cls):
-    """A frozen dataclass that hashes its fields once, and compares them as ints.
+# spec head -> law class, filled as each class is defined
+_LAWS: dict[str, type[Distribution]] = {}
 
-    Laws are memo keys everywhere; a MomentList holds dozens of Fractions,
-    and rehashing or comparing them on every lookup dominated the cost of a
-    cache hit, also through a second instance equal to the key.
+
+class Distribution:
+    """Base of every law, a frozen dataclass(eq=False) registered under its spec head.
+
+    A law carries moment(n) = E[Y**n]; scale(), an integer sigma with sigma**n *
+    E[Y**n] integral for every n; bound(), a B with |Y| <= B almost surely, or None;
+    and the parse and format of its spec after "head:".  The defaults serve a law
+    of one rational field.  Laws are memo keys everywhere, and rehashing or comparing
+    the dozens of Fractions of a MomentList on every lookup dominated the cost of a
+    cache hit, also through a second, equal instance; so a law hashes its fields once.
     """
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = _cached_hash
-    cls.__eq__ = _key_eq
-    return cls
+
+    head: ClassVar[str]
+
+    def __init_subclass__(cls, head: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.head = head
+        _LAWS[head] = cls
+
+    def _key(self) -> tuple[int, str]:
+        # the hash dataclass would give, and the repr of the fields; it depends only on
+        # the numbers, so a cached key stays valid across pickle, copy and processes, and
+        # as the Fractions are in lowest terms, two laws of one type are equal exactly
+        # when their keys are, compared without Fraction arithmetic
+        try:
+            return self.__dict__["_cached_key"]
+        except KeyError:
+            values = tuple(getattr(self, f.name) for f in fields(self))
+            object.__setattr__(self, "_cached_key", (hash(values), repr(values)))
+            return self.__dict__["_cached_key"]
+
+    def __hash__(self) -> int:
+        return self._key()[0]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def _value(self) -> Fraction:
+        return getattr(self, fields(self)[0].name)
+
+    def moment(self, n: int) -> Fraction:
+        raise NotImplementedError
+
+    def scale(self) -> int:
+        return self._value().denominator
+
+    def bound(self) -> Fraction | None:
+        return None
+
+    @classmethod
+    def parse(cls, text: str) -> Distribution:
+        return cls(parse_rational(text))
+
+    def format(self) -> str:
+        return format_rational(self._value())
 
 
-def _ints(value) -> tuple[int, ...]:
-    """The numerator and denominator of each Fraction in value, a Fraction or nested tuples of them."""
-    if isinstance(value, Fraction):
-        return value.numerator, value.denominator
-    return tuple(itertools.chain.from_iterable(map(_ints, value)))
-
-
-def _key(law) -> tuple[int, ...]:
-    # the hash dataclass would give, then the fields as ints, in one flat tuple; it
-    # depends only on the numbers, so a cached key stays valid across pickle, copy and
-    # processes, and as the Fractions are in lowest terms, two laws of one type are
-    # equal exactly when their keys are
-    try:
-        return law.__dict__["_key"]
-    except KeyError:
-        values = tuple(getattr(law, f.name) for f in fields(law))
-        key = (hash(values), *_ints(values))
-        object.__setattr__(law, "_key", key)
-        return key
-
-
-def _cached_hash(self) -> int:
-    return _key(self)[0]
-
-
-def _key_eq(self, other) -> bool:
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return self is other or _key(self) == _key(other)
-
-
-@_law
-class Bernoulli:
+@dataclass(frozen=True, eq=False)
+class Bernoulli(Distribution, head="bernoulli"):
     p: Fraction
 
     def __post_init__(self):
@@ -80,9 +98,15 @@ class Bernoulli:
         if not 0 <= self.p <= 1:
             raise ValueError(f"Bernoulli parameter must lie in [0, 1], got {self.p}")
 
+    def moment(self, n: int) -> Fraction:
+        return Fraction(1) if n == 0 else self.p
 
-@_law
-class Poisson:
+    def bound(self) -> Fraction:
+        return Fraction(1)
+
+
+@dataclass(frozen=True, eq=False)
+class Poisson(Distribution, head="poisson"):
     alpha: Fraction
 
     def __post_init__(self):
@@ -90,18 +114,30 @@ class Poisson:
         if self.alpha <= 0:
             raise ValueError(f"Poisson rate must be positive, got {self.alpha}")
 
+    def moment(self, n: int) -> Fraction:
+        # Touchard expansion over set partitions: for alpha = a/b,
+        # b**n E[Y**n] = sum_k S(n, k) a**k b**(n-k), an integer
+        a, b = self.alpha.numerator, self.alpha.denominator
+        return Fraction(sum(stirling2(n, k) * a**k * b ** (n - k) for k in range(n + 1)), b**n)
 
-@_law
-class Constant:
+
+@dataclass(frozen=True, eq=False)
+class Constant(Distribution, head="const"):
     c: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "c", Fraction(self.c))
 
+    def moment(self, n: int) -> Fraction:
+        return self.c**n
 
-@_law
-class FiniteSupport:
-    """Finitely supported law given as (value, probability) pairs.
+    def bound(self) -> Fraction:
+        return abs(self.c)
+
+
+@dataclass(frozen=True, eq=False)
+class FiniteSupport(Distribution, head="finite"):
+    """Finitely supported law given as (value, probability) pairs, spelled v1:p1,v2:p2,...
 
     Values may be negative; probabilities must be nonnegative and sum to 1.
     The pairs are stored sorted by value, equal values merged and atoms of
@@ -124,10 +160,33 @@ class FiniteSupport:
                 merged[v] = merged.get(v, Fraction(0)) + p
         object.__setattr__(self, "pairs", tuple(sorted(merged.items())))
 
+    def moment(self, n: int) -> Fraction:
+        return sum((p * v**n for v, p in self.pairs), Fraction(0))
 
-@_law
-class MomentList:
-    """Law known only through a finite list of raw moments, mu[0] = 1."""
+    def scale(self) -> int:
+        values, probs = zip(*self.pairs)
+        return math.lcm(*(p.denominator for p in probs)) * math.lcm(*(v.denominator for v in values))
+
+    def bound(self) -> Fraction:
+        return max(abs(v) for v, _ in self.pairs)
+
+    @classmethod
+    def parse(cls, text: str) -> FiniteSupport:
+        pairs = []
+        for chunk in text.split(","):
+            v, sep, p = chunk.partition(":")
+            if not sep:
+                raise ParseError(f"finite atom needs value:prob, got {chunk!r}")
+            pairs.append((parse_rational(v), parse_rational(p)))
+        return cls(tuple(pairs))
+
+    def format(self) -> str:
+        return ",".join(f"{format_rational(v)}:{format_rational(p)}" for v, p in self.pairs)
+
+
+@dataclass(frozen=True, eq=False)
+class MomentList(Distribution, head="moments"):
+    """Law known only through a finite list of raw moments, mu[0] = 1, spelled m0,m1,..."""
 
     mu: tuple[Fraction, ...]
 
@@ -137,8 +196,21 @@ class MomentList:
         if not norm or norm[0] != 1:
             raise ValueError("moment list must start with the order-0 moment 1")
 
+    def moment(self, n: int) -> Fraction:
+        if n >= len(self.mu):
+            supplied = len(self.mu) - 1
+            raise MomentUnavailable(f"moment of order {n} requested, only {supplied} supplied")
+        return self.mu[n]
 
-Distribution = Bernoulli | Poisson | Constant | FiniteSupport | MomentList
+    def scale(self) -> int:
+        return math.lcm(*(m.denominator for m in self.mu))
+
+    @classmethod
+    def parse(cls, text: str) -> MomentList:
+        return cls(tuple(map(parse_rational, text.split(","))))
+
+    def format(self) -> str:
+        return ",".join(map(format_rational, self.mu))
 
 
 @lru_cache(maxsize=None)
@@ -146,47 +218,13 @@ def raw_moment(d: Distribution, n: int) -> Fraction:
     """E[Y**n], exactly.  MomentUnavailable when the law cannot supply it."""
     if n < 0:
         raise ValueError("moment order must be >= 0")
-    match d:
-        case Bernoulli(p):
-            return Fraction(1) if n == 0 else p
-        case Poisson(alpha):
-            # Touchard expansion over set partitions: for alpha = a/b,
-            # b**n E[Y**n] = sum_k S(n, k) a**k b**(n-k), an integer
-            a, b = alpha.numerator, alpha.denominator
-            return Fraction(sum(stirling2(n, k) * a**k * b ** (n - k) for k in range(n + 1)), b**n)
-        case Constant(c):
-            return c**n
-        case FiniteSupport(pairs):
-            return sum((p * v**n for v, p in pairs), Fraction(0))
-        case MomentList(mu):
-            if n >= len(mu):
-                raise MomentUnavailable(
-                    f"moment of order {n} requested, only {len(mu) - 1} supplied"
-                )
-            return mu[n]
-    raise TypeError(f"not a distribution: {d!r}")
+    return d.moment(n)
 
 
 # law -> ([sigma**i * E[Y**i] for i = 0, 1, ...], rows k = 0, 1, ... of
 # sigma**n * E[S_k**n] for n = 0, 1, ...), all int; the lists only ever grow
 _SUM_MOMENTS: dict[Distribution, tuple[list[int], list[list[int]]]] = {}
 _SUM_MOMENTS_LOCK = threading.Lock()
-
-
-def moment_scale(d: Distribution) -> int:
-    """An integer sigma with sigma**i * E[Y**i] an integer for every i."""
-    match d:
-        case Bernoulli(p):
-            return p.denominator
-        case Poisson(alpha):
-            return alpha.denominator
-        case Constant(c):
-            return c.denominator
-        case FiniteSupport(pairs):
-            return math.lcm(*(p.denominator for _, p in pairs)) * math.lcm(*(v.denominator for v, _ in pairs))
-        case MomentList(mu):
-            return math.lcm(*(m.denominator for m in mu))
-    raise TypeError(f"not a distribution: {d!r}")
 
 
 def _sum_moment_rows(d: Distribution, n: int, start: int = 0) -> Iterator[list[int]]:
@@ -200,7 +238,7 @@ def _sum_moment_rows(d: Distribution, n: int, start: int = 0) -> Iterator[list[i
     """
     if n < 0:
         raise ValueError("indices must be >= 0")
-    sigma, pascal = moment_scale(d), [[1]]
+    sigma, pascal = d.scale(), [[1]]
     with _SUM_MOMENTS_LOCK:
         ys, rows = _SUM_MOMENTS.setdefault(d, ([], []))
     for j in itertools.count(start):
@@ -247,7 +285,7 @@ def _sum_moment_row(d: Distribution, k: int, n: int) -> list[int]:
 
 def sum_raw_moment(d: Distribution, k: int, n: int) -> Fraction:
     """E[S_k**n] for S_k the sum of k i.i.d. copies of Y."""
-    return Fraction(_sum_moment_row(d, k, n)[n], moment_scale(d) ** n)
+    return Fraction(_sum_moment_row(d, k, n)[n], d.scale() ** n)
 
 
 def _sum_deg_rising_weights(d: Distribution, n: int, lam: Fraction) -> tuple[list[int], int]:
@@ -256,7 +294,7 @@ def _sum_deg_rising_weights(d: Distribution, n: int, lam: Fraction) -> tuple[lis
     With lam = a/b, b**n <x>_{n,lam} = prod_{r<n} (b*x + r*a) is expanded in
     integers, and D = (b*sigma)**n.
     """
-    a, b, sigma = lam.numerator, lam.denominator, moment_scale(d)
+    a, b, sigma = lam.numerator, lam.denominator, d.scale()
     coeffs = [1]  # of x**0, x**1, ... in b**r <x>_{r,lam}, for r = 0..n
     for r in range(n):
         coeffs = [r * a * c + b * c_left for c, c_left in zip(coeffs + [0], [0] + coeffs)]
@@ -279,7 +317,7 @@ def scaled_deg_rising_moments(d: Distribution, lam: Fraction) -> tuple[Iterator[
     is its predecessor times (b*x + (m-1)*a), updated in place, and u_m its dot product
     with sigma**m * E[Y**i], i = 0..m.  Order m reads raw_moment(d, m) when it is reached.
     """
-    a, b, sigma = lam.numerator, lam.denominator, moment_scale(d)
+    a, b, sigma = lam.numerator, lam.denominator, d.scale()
 
     def moments() -> Iterator[int]:
         poly, zs = [1], [1]  # coefficients of b**m <x>_{m,lam}; sigma**m * E[Y**i]
@@ -310,64 +348,24 @@ def sum_deg_rising_moment(d: Distribution, k: int, n: int, lam: Fraction) -> Fra
     return Fraction(sum(map(operator.mul, weights, _sum_moment_row(d, k, n))), scale)
 
 
-def support_bound(d: Distribution) -> Fraction | None:
-    """A bound B with |Y| <= B almost surely, or None if unbounded/unknown."""
-    match d:
-        case Bernoulli():
-            return Fraction(1)
-        case Constant(c):
-            return abs(c)
-        case FiniteSupport(pairs):
-            return max(abs(v) for v, _ in pairs)
-    return None
-
-
 def parse_distribution(text: str) -> Distribution:
-    """Parse the CLI distribution syntax.
+    """A law from its spec head:params, such as poisson:3/2, finite:0:1/2,2:1/2 or moments:1,1/2,1/3.
 
-    bernoulli:<p> | poisson:<alpha> | const:<c> |
-    finite:v1:p1,v2:p2,... | moments:m1,m2,...  (all numbers 'a/b' or ints;
-    a moment list starts at order 0, so m1 must be 1)
+    The params are read by the parse of the law class registered under the head.
     """
     head, sep, rest = text.partition(":")
     if not sep:
         raise ParseError(f"missing parameters in distribution {text!r}")
+    if head not in _LAWS:
+        raise ParseError(f"unknown distribution family {head!r}, expected one of: {', '.join(_LAWS)}")
     try:
-        if head == "bernoulli":
-            return Bernoulli(parse_rational(rest))
-        if head == "poisson":
-            return Poisson(parse_rational(rest))
-        if head == "const":
-            return Constant(parse_rational(rest))
-        if head == "finite":
-            pairs = []
-            for chunk in rest.split(","):
-                v, sep2, p = chunk.partition(":")
-                if not sep2:
-                    raise ParseError(f"finite atom needs value:prob, got {chunk!r}")
-                pairs.append((parse_rational(v), parse_rational(p)))
-            return FiniteSupport(tuple(pairs))
-        if head == "moments":
-            return MomentList(tuple(parse_rational(m) for m in rest.split(",")))
+        return _LAWS[head].parse(rest)
+    except ParseError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, ParseError):
-            raise
         raise ParseError(f"invalid distribution {text!r}: {exc}") from None
-    raise ParseError(f"unknown distribution family {head!r}")
 
 
 def format_distribution(d: Distribution) -> str:
     """Inverse of parse_distribution."""
-    match d:
-        case Bernoulli(p):
-            return f"bernoulli:{format_rational(p)}"
-        case Poisson(alpha):
-            return f"poisson:{format_rational(alpha)}"
-        case Constant(c):
-            return f"const:{format_rational(c)}"
-        case FiniteSupport(pairs):
-            body = ",".join(f"{format_rational(v)}:{format_rational(p)}" for v, p in pairs)
-            return f"finite:{body}"
-        case MomentList(mu):
-            return "moments:" + ",".join(format_rational(m) for m in mu)
-    raise TypeError(f"not a distribution: {d!r}")
+    return f"{d.head}:{d.format()}"

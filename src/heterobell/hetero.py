@@ -22,11 +22,9 @@ from typing import Iterator
 from .arith import RationalLike, binomial, factorial, times
 from .distributions import (
     Distribution,
-    moment_scale,
     raw_moment,
     scaled_deg_rising_moments,
     scaled_sum_deg_rising_moments,
-    support_bound,
 )
 from .errors import (
     NonPositiveEvaluationPoint,
@@ -94,7 +92,7 @@ def _row(d: Distribution, n: int, lam: Fraction, route: Route) -> Polynomial:
         return Polynomial(Fraction(v, factorial(k) * scale) for k, v in enumerate(diffs))
     if route is Route.STIRLING_TRANSFORM:
         # sum_l prob_stirling2 (DIRECT at lam = 0; an integer over k! sigma**l) stirling1u lam**(n-l)
-        a, b, sigma = lam.numerator, lam.denominator, moment_scale(d)
+        a, b, sigma = lam.numerator, lam.denominator, d.scale()
         weights = [stirling1u(n, l) * a ** (n - l) * b**l for l in range(n + 1)]
         entries = []
         for k in range(n + 1):
@@ -239,7 +237,7 @@ def dobinski_details(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    bound = support_bound(d)
+    bound = d.bound()
     if bound is None:
         raise UnsupportedDistribution("series evaluation needs a bounded-support distribution")
     x = Fraction(x)

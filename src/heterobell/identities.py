@@ -248,17 +248,18 @@ def _read(parse: Callable, convert: Callable = lambda v: v) -> Callable:
 _RATIONAL = _read(parse_rational, Fraction)
 
 
-def _law(cls: type) -> Callable:
-    # a grid reads each listed value once, so all its points share one law object
-    return lambda v: v if isinstance(v, cls) else cls(_RATIONAL(v))
+def _law(cls: type) -> tuple[Callable, Callable]:
+    # a grid reads each listed value once, so all its points share one law object,
+    # and a report shows the law's parameter alone
+    return (lambda v: v if isinstance(v, cls) else cls(_RATIONAL(v))), cls.format
 
 
 _PARAMS: dict[str, tuple[Callable, Callable]] = {
     "dist": (_read(parse_distribution), format_distribution),
     **dict.fromkeys(("lam", "x", "y", "t"), (_RATIONAL, str)),
     # a law's parameter is read into the law, which rejects one out of its range
-    "alpha": (_law(Poisson), lambda d: str(d.alpha)),
-    "p": (_law(Bernoulli), lambda d: str(d.p)),
+    "alpha": _law(Poisson),
+    "p": _law(Bernoulli),
     "lambdas": (lambda qs: tuple(map(_RATIONAL, qs)), lambda qs: f"({', '.join(map(str, qs))})"),
     **dict.fromkeys(("n", "m", "k"), (int, str)),
 }

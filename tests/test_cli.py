@@ -414,12 +414,18 @@ DOBINSKI = ("dobinski", "--dist", "bernoulli:1/2", "--n", "3", "--x", "1")
         (("verify", "T2.18", "--config", "{tmp}/laws.cfg"), "[T2.18]: Bernoulli parameter"),
         (("verify", "T2.20", "--config", "{tmp}/laws.cfg"), "[T2.20]: Bernoulli parameter"),
         (("verify", "--config", "{tmp}/utf16.cfg"), "utf16.cfg: 'utf-8' codec can't decode"),
+        (("table", "prob_hetero", "--nmax", "2", "--dist", "poisson:0"),
+         "invalid distribution 'poisson:0': Poisson rate must be positive, got 0"),
+        (("poly", "prob_hetero_bell", "--n", "2", "--dist", "finite:0:1/2,2:1/3"), "must sum to 1"),
+        (DOBINSKI[:2] + ("gauss:1",) + DOBINSKI[3:], "unknown distribution family 'gauss'"),
+        (("table", "stirling2", "--nmax", "2", "--dist", "gauss:1"), "unknown distribution family 'gauss'"),
     ],
     ids=[
         "missing-config", "non-integer-nmax", "no-section-header", "empty-grid",
         "out-dir-missing", "tol-0", "tol-nan", "tol-inf",
         "empty-lambdas-list", "poisson-rate-0", "poisson-rate-negative", "bernoulli-p-2",
-        "bernoulli-p-negative", "config-not-utf8",
+        "bernoulli-p-negative", "config-not-utf8", "dist-poisson-rate-0", "dist-finite-sum",
+        "dist-unknown-head", "dist-unread-by-family",
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv, needle):

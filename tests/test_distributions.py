@@ -29,8 +29,8 @@ from heterobell import (
     raw_moment,
     sum_deg_rising_moment,
     sum_raw_moment,
-    support_bound,
 )
+from heterobell.distributions import _LAWS
 
 from . import oracles
 from .oracles import BERN_THIRD, FS_ZERO_TWO
@@ -86,17 +86,51 @@ def test_finite_support_spellings_are_one_law():
 
 
 def test_parse_format_round_trip():
-    for text in [
+    texts = [
         "bernoulli:1/2",
         "poisson:2",
         "const:-3",
         "finite:0:1/2,2:1/2",
         "finite:-3:1/4,1:3/4",
         "moments:1,1/2,1/4,1/8",
-    ]:
+    ]
+    for text in texts:
         d = parse_distribution(text)
         assert format_distribution(d) == text
         assert parse_distribution(format_distribution(d)) == d
+    # a law added to the registry cannot skip the round trip
+    assert {text.partition(":")[0] for text in texts} == set(_LAWS)
+
+
+def test_unknown_head_lists_every_registered_head():
+    with pytest.raises(ParseError, match="unknown distribution family 'gauss'") as info:
+        parse_distribution("gauss:1")
+    assert _LAWS and all(head in str(info.value) for head in _LAWS)
+
+
+def test_laws_are_the_only_per_law_dispatch():
+    # no match statement anywhere, and no isinstance against a law class outside the law
+    # classes: a per-law fact is a method of the law
+    laws = {cls.__name__ for cls in _LAWS.values()}
+    package = os.path.dirname(heterobell.__file__)
+    found = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename)) as fh:
+            todo = [ast.parse(fh.read())]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, ast.ClassDef) and node.name in laws:
+                continue
+            if isinstance(node, ast.Match) or (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance"
+                and laws & {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+            ):
+                found.append(f"{filename}:{node.lineno}")
+            todo.extend(ast.iter_child_nodes(node))
+    assert found == []
 
 
 @pytest.mark.parametrize(
@@ -271,11 +305,11 @@ def test_negative_fold_count_rejected():
 
 
 def test_support_bound():
-    assert support_bound(Bernoulli(Fraction(1, 3))) == 1
-    assert support_bound(Constant(Fraction(-5, 2))) == Fraction(5, 2)
-    assert support_bound(FS_ZERO_TWO) == 2
-    assert support_bound(Poisson(1)) is None
-    assert support_bound(MomentList((Fraction(1), Fraction(1)))) is None
+    assert Bernoulli(Fraction(1, 3)).bound() == 1
+    assert Constant(Fraction(-5, 2)).bound() == Fraction(5, 2)
+    assert FS_ZERO_TWO.bound() == 2
+    assert Poisson(1).bound() is None
+    assert MomentList((Fraction(1), Fraction(1))).bound() is None
 
 
 # two spellings of each law; the first of each pair is the one format_distribution prints
