@@ -1,19 +1,20 @@
 """Machine verification of the identity catalogue.
 
-Every identity the library claims is checked here by computing both sides
-along genuinely different code paths and comparing exactly (rational
-equality, no tolerances).  Identities carry short stable tags (T2.2,
+Every identity the library claims is declared here by its two sides, each a
+callable over one grid point; one runner computes both and compares them
+exactly (rational equality, no tolerances).  The sides take different code
+paths, except at the few points where the trace test, tests/test_routes.py,
+lists a self-comparison.  Identities carry short stable tags (T2.2,
 T2.8, ..., L2.19, LIMITS) used by the CLI;  parameter grids for full runs
 live in a small versioned config file shipped with the package.
 """
 from __future__ import annotations
 
 import configparser
-import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .arith import binomial, deg_rising_factorial, factorial, format_rational, parse_rational
 from .distributions import (
@@ -73,29 +74,8 @@ def _as_list(value) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# individual checks: return (passed, left values, right values, note)
-
-
-def _check_stirling_transform(dist, n: int, k: int, lam: Fraction):
-    left = prob_hetero_stirling(dist, n, k, lam, Route.DIRECT)
-    right = prob_hetero_stirling(dist, n, k, lam, Route.STIRLING_TRANSFORM)
-    return left == right, left, right, None
-
-
-def _check_lah_via_stirling(dist, n: int, k: int):
-    left = prob_lah(dist, n, k)
-    right = prob_hetero_stirling(dist, n, k, 1, Route.STIRLING_TRANSFORM)
-    return left == right, left, right, None
-
-
-def _check_lah_lambda_free(dist, n: int, k: int, lambdas: Sequence[Fraction]):
-    left = prob_lah(dist, n, k)
-    rights = [
-        sum(prob_hetero_stirling(dist, l, k, lam) * deg_stirling1(n, l, lam) for l in range(k, n + 1))
-        for lam in lambdas
-    ]
-    return all(r == left for r in rights), left, rights, None
-
+# sides of more than one statement, each taking its tag's parameters in order,
+# and the note a failing T2.8 point shows
 
 _SPLIT_NOTE = (
     "order-splitting expansion computed with the partial-sum shift n*lam "
@@ -104,136 +84,51 @@ _SPLIT_NOTE = (
 )
 
 
-def _check_order_split(dist, n: int, m: int, t: Fraction, lam: Fraction):
-    left = order_split_rhs(dist, n, m, t, lam)
-    right = prob_hetero_bell_poly(dist, n + m, lam)(t)
-    ok = left == right
-    return ok, left, right, None if ok else _SPLIT_NOTE
+def _lah_through_lambdas(dist, n: int, k: int, lambdas: tuple[Fraction, ...]) -> list[Fraction]:
+    return [
+        sum(prob_hetero_stirling(dist, l, k, lam) * deg_stirling1(n, l, lam) for l in range(k, n + 1))
+        for lam in lambdas
+    ]
 
 
-def _check_poly_via_partial_bell(dist, n: int, lam: Fraction):
-    left = prob_hetero_bell_poly(dist, n, lam)
-    right = prob_hetero_bell_poly(dist, n, lam, Route.PARTIAL_BELL)
-    return left == right, left, right, None
-
-
-def _check_addition(dist, n: int, lam: Fraction, x: Fraction, y: Fraction):
+def _addition_rhs(dist, n: int, lam: Fraction, x: Fraction, y: Fraction) -> Fraction:
     rows = [prob_hetero_bell_poly(dist, k, lam) for k in range(n + 1)]
-    left = rows[n](x + y)
-    right = Fraction(0)
-    for k in range(n + 1):
-        right += binomial(n, k) * rows[k](x) * rows[n - k](y)
-    return left == right, left, right, None
+    return sum((binomial(n, k) * rows[k](x) * rows[n - k](y) for k in range(n + 1)), Fraction(0))
 
 
-def _check_numbers_partial_bell(dist, n: int, lam: Fraction):
-    left = prob_hetero_bell_poly(dist, n, lam)
-    bell_numbers = [
-        prob_hetero_bell_poly(dist, j, lam)(1) for j in range(n + 1)
-    ]
-    right = Polynomial.zero()
-    for k in range(n + 1):
-        b = partial_bell(n, k, bell_numbers[1 : n - k + 2])
-        if b:
-            # the falling factorial x(x-1)...(x-k+1) is the degenerate rising one at lam = -1
-            right = right + b * deg_rising_poly(k, Fraction(-1))
-    return left == right, left, right, None
-
-
-def _check_shifted_sequence_bell(dist, n: int, k: int, lam: Fraction, x: Fraction):
-    left = binomial(n, k) * prob_hetero_bell_poly(dist, n - k, lam)(k * x)
-    shifted = [
-        m * prob_hetero_bell_poly(dist, m - 1, lam)(x) for m in range(1, n - k + 2)
-    ]
-    right = partial_bell(n, k, shifted)
-    return left == right, left, right, None
-
-
-def _check_poly_sequence_bell(dist, n: int, k: int, lam: Fraction, x: Fraction):
-    values = [prob_hetero_bell_poly(dist, j, lam)(x) for j in range(1, n - k + 2)]
-    left = partial_bell(n, k, values)
-    row = prob_hetero_bell_poly(dist, n, lam)
-    right = Polynomial(stirling2(j, k) * c for j, c in enumerate(row))(x)
-    return left == right, left, right, None
-
-
-# T2.16 to T2.20 take the law itself as alpha or p, read by _PARAMS, which prints its parameter
-
-
-def _check_poisson_moment(alpha: Poisson, k: int, n: int, lam: Fraction):
-    left = sum_deg_rising_moment(alpha, k, n, lam)
-    right = hetero_bell_poly(n, lam)(k * alpha.alpha)
-    return left == right, left, right, None
-
-
-def _check_poisson_poly(alpha: Poisson, n: int, lam: Fraction):
-    left = prob_hetero_bell_poly(alpha, n, lam)
-    right = Polynomial.zero()
-    for k in range(n + 1):
-        h = hetero_stirling(n, k, lam)
-        if h:
-            right = right + h * alpha.alpha**k * bell_poly(k)
-    return left == right, left, right, None
-
-
-def _check_bernoulli_scaling(p: Bernoulli, n: int, lam: Fraction):
-    left = prob_hetero_bell_poly(p, n, lam)
-    right = hetero_bell_poly(n, lam).scale_arg(p.p)
-    return left == right, left, right, None
-
-
-def _check_block_sum(n: int, k: int, lam: Fraction):
-    left = sum(
-        (deg_rising_factorial(j, n, lam) for j in range(1, k + 1)), Fraction(0)
-    )
-    right = Fraction(0)
-    for l in range(1, n + 1):
-        right += hetero_stirling(n, l, lam) * factorial(l) * binomial(k + 1, l + 1)
-    return left == right, left, right, None
-
-
-def _check_bernoulli_moment(p: Bernoulli, k: int, n: int, lam: Fraction):
-    left = sum_deg_rising_moment(p, k, n, lam)
-    right = Polynomial(
-        binomial(k, j) * factorial(j) * hetero_stirling(n, j, lam) for j in range(n + 1)
-    )(p.p)
-    return left == right, left, right, None
+def _numbers_rhs(dist, n: int, lam: Fraction) -> Polynomial:
+    numbers = [prob_hetero_bell_poly(dist, j, lam)(1) for j in range(n + 1)]
+    bells = [partial_bell(n, k, numbers[1 : n - k + 2]) for k in range(n + 1)]
+    # the falling factorial x(x-1)...(x-k+1) is the degenerate rising one at lam = -1
+    return sum((b * deg_rising_poly(k, Fraction(-1)) for k, b in enumerate(bells)), Polynomial.zero())
 
 
 def _hetero_explicit(n: int, k: int, lam: Fraction) -> Fraction:
     # the paper's explicit formula, (1/k!) sum_j (-1)**(k-j) C(k, j) <j>_{n,lam};
     # the library reads the same numbers from a row recurrence instead
-    acc = Fraction(0)
-    for j in range(k + 1):
-        acc += (-1) ** (k - j) * binomial(k, j) * deg_rising_factorial(j, n, lam)
-    return acc / factorial(k)
+    terms = ((-1) ** (k - j) * binomial(k, j) * deg_rising_factorial(j, n, lam) for j in range(k + 1))
+    return sum(terms, Fraction(0)) / factorial(k)
 
 
-def _check_limits(dist, n: int):
-    left: list = []
-    right: list = []
-    for k in range(n + 1):
-        left += [hetero_stirling(n, k, Fraction(0)), hetero_stirling(n, k, Fraction(1))]
-        right += [_hetero_explicit(n, k, Fraction(0)), _hetero_explicit(n, k, Fraction(1))]
-        # PARTIAL_BELL, since prob_stirling2 and prob_lah read DIRECT at lam = 0 and 1
-        left += [
-            prob_hetero_stirling(dist, n, k, Fraction(0), Route.PARTIAL_BELL),
-            prob_hetero_stirling(dist, n, k, Fraction(1), Route.PARTIAL_BELL),
-        ]
-        right += [prob_stirling2(dist, n, k), prob_lah(dist, n, k)]
-    left += [hetero_bell_poly(n, 0), hetero_bell_poly(n, 1)]
-    right += [
-        Polynomial(_hetero_explicit(n, k, Fraction(lam)) for k in range(n + 1)) for lam in (0, 1)
-    ]
-    left += [
-        prob_hetero_bell_poly(dist, n, 0, Route.PARTIAL_BELL),
-        prob_hetero_bell_poly(dist, n, 1, Route.PARTIAL_BELL),
-    ]
-    right += [
-        Polynomial(prob_stirling2(dist, n, k) for k in range(n + 1)),
-        Polynomial(prob_lah(dist, n, k) for k in range(n + 1)),
-    ]
-    return left == right, left, right, None
+# LIMITS: rows at lam = 0 and 1, entry by entry (k outermost) and then whole
+_ENDS = (Fraction(0), Fraction(1))
+
+
+def _entries_and_rows(rows: list[Polynomial], n: int) -> list:
+    return [row.coeff(k) for k in range(n + 1) for row in rows] + rows
+
+
+def _limits_left(dist, n: int) -> list:
+    # the triangle, and PARTIAL_BELL since prob_stirling2 and prob_lah read DIRECT at lam = 0 and 1
+    triangle = [hetero_bell_poly(n, lam) for lam in _ENDS]
+    partial_bell_rows = [prob_hetero_bell_poly(dist, n, lam, Route.PARTIAL_BELL) for lam in _ENDS]
+    return _entries_and_rows(triangle + partial_bell_rows, n)
+
+
+def _limits_right(dist, n: int) -> list:
+    explicit = [Polynomial(_hetero_explicit(n, k, lam) for k in range(n + 1)) for lam in _ENDS]
+    direct = [Polynomial(f(dist, n, k) for k in range(n + 1)) for f in (prob_stirling2, prob_lah)]
+    return _entries_and_rows(explicit + direct, n)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +161,7 @@ _PARAMS: dict[str, tuple[Callable, Callable]] = {
 
 
 # ---------------------------------------------------------------------------
-# registry: tag -> (checker, grid axes)
+# registry: tag -> its two sides and its grid axes
 #
 # An axis is (name, values(section, point_so_far)), listed outermost first;
 # `section` is the tag's merged config section.
@@ -294,40 +189,133 @@ _LAM = _listed("lam", "lambdas")
 _X = _listed("x", "xs")
 _N = ("n", _count("nmax"))
 _K_UPTO_N = ("k", lambda sec, pt: range(pt["n"] + 1))
+_M_UPTO_SUM = ("m", lambda sec, pt: range(_config_int(sec, "sum_max") - pt["n"] + 1))
 # all the listed lambdas at one point, and no point if none are listed
 _LAMBDAS = ("lambdas", lambda sec, pt: [lams] if (lams := tuple(_LAM[1](sec, pt))) else [])
+_ALPHA, _P, _K = _listed("alpha", "alphas"), _listed("p", "ps"), ("k", _count("kmax"))
 
-_IDENTITIES: dict[str, tuple[Callable, tuple]] = {
-    "T2.2": (_check_stirling_transform, (_DIST, _LAM, _N, _K_UPTO_N)),
-    "T2.3": (_check_lah_via_stirling, (_DIST, _N, _K_UPTO_N)),
-    "T2.4": (_check_lah_lambda_free, (_LAMBDAS, _DIST, _N, _K_UPTO_N)),
-    "T2.8": (
-        _check_order_split,
-        (
-            _DIST,
-            _LAM,
-            _listed("t", "ts"),
-            ("n", _count("sum_max")),
-            ("m", lambda sec, pt: range(_config_int(sec, "sum_max") - pt["n"] + 1)),
-        ),
+
+@dataclass(frozen=True)
+class _Identity:
+    """One tag: the names of a point's parameters in report order, its two sides and its axes.
+
+    Both sides take the parameters positionally, in that order.  With `each`, the right
+    side is a list, each entry of which must equal the one left value; `note` is shown
+    where a point fails.
+    """
+
+    params: tuple[str, ...]
+    left: Callable
+    right: Callable
+    axes: tuple
+    each: bool = False
+    note: str | None = None
+
+
+_IDENTITIES: dict[str, _Identity] = {
+    "T2.2": _Identity(
+        ("dist", "n", "k", "lam"),
+        prob_hetero_stirling,
+        lambda dist, n, k, lam: prob_hetero_stirling(dist, n, k, lam, Route.STIRLING_TRANSFORM),
+        (_DIST, _LAM, _N, _K_UPTO_N),
     ),
-    "T2.9": (_check_poly_via_partial_bell, (_DIST, _LAM, _N)),
-    "T2.10": (_check_addition, (_DIST, _LAM, _N, _X, _listed("y", "ys"))),
-    "T2.11": (_check_numbers_partial_bell, (_DIST, _LAM, _N)),
-    "T2.12": (_check_shifted_sequence_bell, (_DIST, _LAM, _X, _N, _K_UPTO_N)),
-    "T2.13": (_check_poly_sequence_bell, (_DIST, _LAM, _X, _N, _K_UPTO_N)),
-    "T2.16": (_check_poisson_moment, (_listed("alpha", "alphas"), _LAM, ("k", _count("kmax")), _N)),
-    "T2.17": (_check_poisson_poly, (_listed("alpha", "alphas"), _LAM, _N)),
-    "T2.18": (_check_bernoulli_scaling, (_listed("p", "ps"), _LAM, _N)),
-    "L2.19": (_check_block_sum, (_LAM, ("n", _count("nmax", 1)), ("k", _count("kmax", 1)))),
-    "T2.20": (_check_bernoulli_moment, (_listed("p", "ps"), _LAM, ("k", _count("kmax")), _N)),
-    "LIMITS": (_check_limits, (_DIST, _N)),
+    "T2.3": _Identity(
+        ("dist", "n", "k"),
+        prob_lah,
+        lambda dist, n, k: prob_hetero_stirling(dist, n, k, 1, Route.STIRLING_TRANSFORM),
+        (_DIST, _N, _K_UPTO_N),
+    ),
+    # the lambda-free prob_lah against one transform through each listed lambda
+    "T2.4": _Identity(
+        ("dist", "n", "k", "lambdas"),
+        lambda dist, n, k, lambdas: prob_lah(dist, n, k),
+        _lah_through_lambdas,
+        (_LAMBDAS, _DIST, _N, _K_UPTO_N),
+        each=True,
+    ),
+    "T2.8": _Identity(
+        ("dist", "n", "m", "t", "lam"),
+        order_split_rhs,
+        lambda dist, n, m, t, lam: prob_hetero_bell_poly(dist, n + m, lam)(t),
+        (_DIST, _LAM, _listed("t", "ts"), ("n", _count("sum_max")), _M_UPTO_SUM),
+        note=_SPLIT_NOTE,
+    ),
+    "T2.9": _Identity(
+        ("dist", "n", "lam"),
+        prob_hetero_bell_poly,
+        lambda dist, n, lam: prob_hetero_bell_poly(dist, n, lam, Route.PARTIAL_BELL),
+        (_DIST, _LAM, _N),
+    ),
+    "T2.10": _Identity(
+        ("dist", "n", "lam", "x", "y"),
+        lambda dist, n, lam, x, y: prob_hetero_bell_poly(dist, n, lam)(x + y),
+        _addition_rhs,
+        (_DIST, _LAM, _N, _X, _listed("y", "ys")),
+    ),
+    "T2.11": _Identity(("dist", "n", "lam"), prob_hetero_bell_poly, _numbers_rhs, (_DIST, _LAM, _N)),
+    "T2.12": _Identity(
+        ("dist", "n", "k", "lam", "x"),
+        lambda dist, n, k, lam, x: binomial(n, k) * prob_hetero_bell_poly(dist, n - k, lam)(k * x),
+        lambda dist, n, k, lam, x: partial_bell(
+            n, k, [m * prob_hetero_bell_poly(dist, m - 1, lam)(x) for m in range(1, n - k + 2)]
+        ),
+        (_DIST, _LAM, _X, _N, _K_UPTO_N),
+    ),
+    "T2.13": _Identity(
+        ("dist", "n", "k", "lam", "x"),
+        lambda dist, n, k, lam, x: partial_bell(
+            n, k, [prob_hetero_bell_poly(dist, j, lam)(x) for j in range(1, n - k + 2)]
+        ),
+        lambda dist, n, k, lam, x: Polynomial(
+            stirling2(j, k) * c for j, c in enumerate(prob_hetero_bell_poly(dist, n, lam))
+        )(x),
+        (_DIST, _LAM, _X, _N, _K_UPTO_N),
+    ),
+    # T2.16 to T2.20 take the law itself as alpha or p, read by _PARAMS, which prints its parameter
+    "T2.16": _Identity(
+        ("alpha", "k", "n", "lam"),
+        sum_deg_rising_moment,
+        lambda alpha, k, n, lam: hetero_bell_poly(n, lam)(k * alpha.alpha),
+        (_ALPHA, _LAM, _K, _N),
+    ),
+    "T2.17": _Identity(
+        ("alpha", "n", "lam"),
+        prob_hetero_bell_poly,
+        lambda alpha, n, lam: sum(
+            (hetero_stirling(n, k, lam) * alpha.alpha**k * bell_poly(k) for k in range(n + 1)),
+            Polynomial.zero(),
+        ),
+        (_ALPHA, _LAM, _N),
+    ),
+    "T2.18": _Identity(
+        ("p", "n", "lam"),
+        prob_hetero_bell_poly,
+        lambda p, n, lam: hetero_bell_poly(n, lam).scale_arg(p.p),
+        (_P, _LAM, _N),
+    ),
+    "L2.19": _Identity(
+        ("n", "k", "lam"),
+        lambda n, k, lam: sum(deg_rising_factorial(j, n, lam) for j in range(1, k + 1)),
+        lambda n, k, lam: sum(
+            hetero_stirling(n, l, lam) * factorial(l) * binomial(k + 1, l + 1) for l in range(1, n + 1)
+        ),
+        (_LAM, ("n", _count("nmax", 1)), ("k", _count("kmax", 1))),
+    ),
+    "T2.20": _Identity(
+        ("p", "k", "n", "lam"),
+        sum_deg_rising_moment,
+        lambda p, k, n, lam: Polynomial(
+            binomial(k, j) * factorial(j) * hetero_stirling(n, j, lam) for j in range(n + 1)
+        )(p.p),
+        (_P, _LAM, _K, _N),
+    ),
+    "LIMITS": _Identity(("dist", "n"), _limits_left, _limits_right, (_DIST, _N)),
 }
 
 IDENTITY_TAGS: tuple[str, ...] = tuple(_IDENTITIES)
 
 
-def _lookup(tag: str) -> tuple[Callable, tuple]:
+def _lookup(tag: str) -> _Identity:
     try:
         return _IDENTITIES[tag]
     except KeyError:
@@ -336,17 +324,22 @@ def _lookup(tag: str) -> tuple[Callable, tuple]:
 
 def verify_identity(tag: str, **params) -> IdentityReport:
     """Check one identity at one parameter point; both sides exact."""
-    checker, _ = _lookup(tag)
-    typed = {key: _PARAMS[key][0](value) for key, value in params.items()}
-    passed, left, right, note = checker(**typed)
-    shown = {key: _PARAMS[key][1](value) for key, value in typed.items()}
+    identity = _lookup(tag)
+    if params.keys() != set(identity.params):
+        raise ParseError(
+            f"identity {tag} takes the parameters {', '.join(identity.params)}, "
+            f"not {', '.join(params) or 'none'}"
+        )
+    typed = [_PARAMS[key][0](params[key]) for key in identity.params]
+    left, right = identity.left(*typed), identity.right(*typed)
+    passed = all(r == left for r in right) if identity.each else left == right
     return IdentityReport(
         identity=tag,
-        params=shown,
+        params={key: _PARAMS[key][1](value) for key, value in zip(identity.params, typed)},
         left=_as_list(left),
         right=_as_list(right),
         passed=passed,
-        note=note,
+        note=None if passed else identity.note,
     )
 
 
@@ -397,20 +390,19 @@ def identity_grid(tag: str, cfg: GridConfig) -> list[dict]:
     """Parameter dicts for one identity, in a fixed deterministic order.
 
     Points run over the product of the tag's axes, outermost first; each
-    point's keys follow the checker's parameter order.
+    point's keys follow the tag's parameter order.
     """
-    checker, axes = _lookup(tag)
+    identity = _lookup(tag)
     sec = cfg.sections[tag]
     points: list[dict] = [{}]
     try:
-        for name, values in axes:
+        for name, values in identity.axes:
             points = [{**pt, name: v} for pt in points for v in values(sec, pt)]
     except ValueError as exc:  # a ParseError, or a law rejecting its parameter
         raise ParseError(f"grid section [{tag}]: {exc}") from None
     if not points:
         raise ParseError(f"grid section [{tag}] has no points")
-    order = inspect.signature(checker).parameters
-    return [{key: pt[key] for key in order} for pt in points]
+    return [{key: pt[key] for key in identity.params} for pt in points]
 
 
 def run_identity(tag: str, cfg: GridConfig | None = None) -> list[IdentityReport]:

@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import hashlib
+import inspect
 import json
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from heterobell import (
     IDENTITY_TAGS,
     Bernoulli,
+    ParseError,
     UnknownIdentity,
     clear_caches,
     format_distribution,
@@ -15,6 +18,7 @@ from heterobell import (
     run_identity,
     verify_identity,
 )
+from heterobell import identities
 from heterobell.identities import GridConfig, identity_grid, load_grid_config
 
 from .oracles import BERN_HALF, FS_ZERO_TWO, POISSON_ONE
@@ -98,6 +102,58 @@ def test_unknown_tag_raises():
         verify_identity("BOGUS", n=1)
     with pytest.raises(UnknownIdentity):
         run_identities(["T2.2", "BOGUS"])
+
+
+def test_missing_or_unknown_parameter_names_the_tag_and_its_parameters():
+    message = r"identity T2\.2 takes the parameters dist, n, k, lam"
+    with pytest.raises(ParseError, match=message + ", not dist, n, k$"):
+        verify_identity("T2.2", dist="bernoulli:1/2", n=4, k=2)
+    with pytest.raises(ParseError, match=message):
+        verify_identity("T2.2", dist="bernoulli:1/2", n=4, k=2, lam="1/3", bogus=1)
+    with pytest.raises(ParseError, match=r"identity LIMITS takes the parameters dist, n, not none"):
+        verify_identity("LIMITS")
+
+
+def test_identity_tags_keep_their_order():
+    assert IDENTITY_TAGS == (
+        "T2.2", "T2.3", "T2.4", "T2.8", "T2.9", "T2.10", "T2.11", "T2.12", "T2.13",
+        "T2.16", "T2.17", "T2.18", "L2.19", "T2.20", "LIMITS",
+    )
+
+
+def test_both_sides_take_the_parameters_in_report_order():
+    cfg = load_grid_config()
+    for tag in IDENTITY_TAGS:
+        identity = identities._IDENTITIES[tag]
+        point = identity_grid(tag, cfg)[-1]
+        assert list(point) == list(identity.params), tag
+        # the report follows the tag's order, whatever the order of the keywords
+        reversed_point = dict(reversed(point.items()))
+        assert list(verify_identity(tag, **reversed_point).params) == list(identity.params), tag
+        for side in (identity.left, identity.right):
+            signature = inspect.signature(side)
+            signature.bind(*point.values())
+            if side.__module__ == identities.__name__:  # a side written for the tag uses its names
+                assert list(signature.parameters) == list(identity.params), tag
+
+
+@pytest.mark.parametrize("tag", IDENTITY_TAGS)
+def test_a_wrong_side_fails_the_report_and_only_t2_8_notes_it(tag, monkeypatch):
+    wrong = dataclasses.replace(identities._IDENTITIES[tag], left=lambda *params: Fraction(-1234, 567))
+    monkeypatch.setitem(identities._IDENTITIES, tag, wrong)
+    report = verify_identity(tag, **SAMPLE_POINTS[tag])
+    assert not report.passed
+    assert report.left == ["-1234/567"]
+    assert report.as_dict().get("note") == (identities._SPLIT_NOTE if tag == "T2.8" else None)
+
+
+def test_lambda_free_identity_fails_when_one_lambda_differs(monkeypatch):
+    weights = identities.deg_stirling1
+    monkeypatch.setattr(identities, "deg_stirling1", lambda n, l, lam: weights(n, l, lam) + (lam == 2))
+    r = verify_identity("T2.4", dist=FS_ZERO_TWO, n=4, k=2, lambdas=["0", "1/3", "1", "2"])
+    assert not r.passed
+    assert r.right[:3] == r.left * 3
+    assert r.right[3] != r.left[0]
 
 
 def test_lambda_free_identity_reports_all_lambdas():
