@@ -13,14 +13,16 @@ check failed, 2 usage, parse or file errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Iterable, Iterator, Sequence
 
 from .arith import format_rational, parse_rational
 from .distributions import format_distribution, parse_distribution
@@ -102,16 +104,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+def text(value, indent: str = "") -> str:
+    """value as json.dumps writes it with an indent of 2, its later lines led by indent, for the
+    values the CLI writes: strings through json's C encoder, one join per list or dict."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, (dict, list, tuple)) and value:
+        inner = indent + "  "
+        if isinstance(value, dict):
+            parts = [_quote(k) + ": " + (_quote(v) if type(v) is str else text(v, inner))
+                     for k, v in value.items()]
+            return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "}"
+        parts = [_quote(v) if type(v) is str else text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
+    return ("true" if value else "false") if type(value) is bool else json.dumps(value)
 
 
-def _json_record(record: dict) -> str:
-    return json.dumps(record, indent=2)
+def _emit(args, record: dict, csv_rows: Iterable = ()) -> None:
+    """Write text(record), an iterator value item by item, or the csv rows, to --out or stdout."""
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        if getattr(args, "format", "json") == "csv":
+            csv.writer(fh).writerows(csv_rows)
+            return
+        sep = "{"
+        for key, value in record.items():
+            fh.write(sep + "\n  " + _quote(key) + ": ")
+            sep = ","
+            if not isinstance(value, Iterator):
+                fh.write(text(value, "  "))
+                continue
+            items = 0
+            for items, item in enumerate(value, 1):
+                fh.write(("[" if items == 1 else ",") + "\n    " + text(item, "    "))
+            fh.write("\n  ]" if items else "[]")
+        fh.write("\n}" if args.out else "\n}\n")  # print() ended stdout with a newline
 
 
 def _prob_row(d, n: int, lam) -> list[Fraction]:
@@ -136,24 +162,17 @@ def _common_parameters(read: dict, **extra) -> dict:
     }
 
 
-def _emit_rows(args, command: str, params: dict, key: str, values: list, csv_rows: Iterable) -> int:
-    if args.format == "json":
-        _emit(_json_record({"command": command, "parameters": params, key: values}), args.out)
-    else:
-        buf = io.StringIO()
-        csv.writer(buf).writerows(csv_rows)
-        _emit(buf.getvalue(), args.out)
-    return 0
-
-
 def cmd_table(args) -> int:
     row, read = _builder(TABLES, args.family, args)
     if args.nmax < 0:
         raise ParseError("--nmax must be >= 0")
-    rows = [[format_rational(v) for v in row(n, *read.values())] for n in range(args.nmax + 1)]
+    last = row(args.nmax, *read.values())  # fills each route's memo: no row raises after output starts
+    built = itertools.chain((row(n, *read.values()) for n in range(args.nmax)), [last])
+    rows = ([format_rational(v) for v in entries] for entries in built)
     params = _common_parameters(read, family=args.family, nmax=args.nmax, format=args.format)
-    csv_rows = ([n] + row for n, row in enumerate(rows))  # a generator: built for csv only
-    return _emit_rows(args, "table", params, "rows", rows, csv_rows)
+    csv_rows = ([n] + entries for n, entries in enumerate(rows))  # either is formatted as written
+    _emit(args, {"command": "table", "parameters": params, "rows": rows}, csv_rows)
+    return 0
 
 
 def cmd_poly(args) -> int:
@@ -164,7 +183,8 @@ def cmd_poly(args) -> int:
     coeffs = [format_rational(poly.coeff(i)) for i in range(args.n + 1)]
     params = _common_parameters(read, kind=args.kind, n=args.n, format=args.format)
     csv_rows = itertools.chain([("power", "coefficient")], enumerate(coeffs))
-    return _emit_rows(args, "poly", params, "coefficients", coeffs, csv_rows)
+    _emit(args, {"command": "poly", "parameters": params, "coefficients": coeffs}, csv_rows)
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -176,14 +196,14 @@ def cmd_verify(args) -> int:
     record = {
         "command": "verify",
         "parameters": {"ids": tags, "grid_version": cfg.version},
-        "reports": [r.as_dict() for r in reports],
+        "reports": (r.as_dict() for r in reports),
         "summary": {
             "total": len(reports),
             "passed": len(reports) - len(failed),
             "failed": len(failed),
         },
     }
-    _emit(_json_record(record), args.out)
+    _emit(args, record)
     return 1 if failed else 0
 
 
@@ -212,12 +232,13 @@ def cmd_dobinski(args) -> int:
         "achieved_rel_error": achieved_str,
         "rel_error_bound": repr(result.rel_bound),
     }
-    _emit(_json_record(record), args.out)
+    _emit(args, record)
     return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
+    sys.stdout = sys.stdout or open(os.devnull, "w")  # None if fd 1 is closed; print() wrote nothing
     argv = sys.argv[1:] if argv is None else argv
     # argparse takes a value such as '-1/2' for an option, so pass it as '--lambda=-1/2'
     glued: list[str] = []
@@ -234,9 +255,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         # read here, not by argparse, so a bad law exits with its own reason, read or not
         if getattr(args, "dist", None) is not None:
             args.dist = parse_distribution(args.dist)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left stdout early raises here, not at exit
+        return code
     except (HeterobellError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # exit flushes there
         return 2
 
 
