@@ -80,19 +80,13 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every memo of the package: the triangle, moment and partial Bell rows and each lru_cache.
+    """Empty every memo of the package: every lru_cache, the triangle, moment and partial Bell rows among them.
 
     Every memo otherwise lives as long as the process.  Values computed
     afterwards are equal to those before; only their cost is paid again.
     """
     import sys
 
-    with triangles._ROWS_LOCK:
-        triangles._ROWS.clear()
-    with distributions._SUM_MOMENTS_LOCK:
-        distributions._SUM_MOMENTS.clear()
-    with hetero._BELL_ROWS_LOCK:
-        hetero._BELL_ROWS.clear()
     for name, module in list(sys.modules.items()):
         if name.startswith(__name__ + "."):
             for obj in vars(module).values():

@@ -19,7 +19,7 @@ import operator
 import threading
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import ClassVar, Iterator
 
 from .arith import format_rational, parse_rational, times
@@ -49,25 +49,22 @@ class Distribution:
         cls.head = head
         _LAWS[head] = cls
 
+    @cached_property
     def _key(self) -> tuple[int, str]:
         # the hash dataclass would give, and the repr of the fields; it depends only on
         # the numbers, so a cached key stays valid across pickle, copy and processes, and
         # as the Fractions are in lowest terms, two laws of one type are equal exactly
         # when their keys are, compared without Fraction arithmetic
-        try:
-            return self.__dict__["_cached_key"]
-        except KeyError:
-            values = tuple(getattr(self, f.name) for f in fields(self))
-            object.__setattr__(self, "_cached_key", (hash(values), repr(values)))
-            return self.__dict__["_cached_key"]
+        values = tuple(getattr(self, f.name) for f in fields(self))
+        return hash(values), repr(values)
 
     def __hash__(self) -> int:
-        return self._key()[0]
+        return self._key[0]
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or self._key() == other._key()
+        return self is other or self._key == other._key
 
     def _value(self) -> Fraction:
         return getattr(self, fields(self)[0].name)
@@ -221,10 +218,13 @@ def raw_moment(d: Distribution, n: int) -> Fraction:
     return d.moment(n)
 
 
-# law -> ([sigma**i * E[Y**i] for i = 0, 1, ...], rows k = 0, 1, ... of
-# sigma**n * E[S_k**n] for n = 0, 1, ...), all int; the lists only ever grow
-_SUM_MOMENTS: dict[Distribution, tuple[list[int], list[list[int]]]] = {}
-_SUM_MOMENTS_LOCK = threading.Lock()
+_MOMENTS_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=None)
+def _sum_moments(d: Distribution) -> tuple[list[int], list[list[int]]]:
+    """[sigma**i * E[Y**i] for i = 0, 1, ...] and rows k = 0, 1, ... of sigma**n * E[S_k**n], as int."""
+    return [], []
 
 
 def _sum_moment_rows(d: Distribution, n: int, start: int = 0) -> Iterator[list[int]]:
@@ -232,17 +232,21 @@ def _sum_moment_rows(d: Distribution, n: int, start: int = 0) -> Iterator[list[i
 
     Row j is the binomial convolution of row j-1 with the scaled raw moments of Y
     (split off the last summand); as sigma**m scales both sides alike, it stays in
-    integers.  A row is extended to order n only when the stream reaches it, so the
-    row before it is already long enough, as it must be before row start; the
-    memoised rows only ever grow.
+    integers.  A row is extended to order n only when the stream reaches it, so every
+    row before one filled to order n is too: the stream resumes at the last such row
+    up to start, and a filled row is read at once.  Reading k = 0, 1, 2, ... one call
+    at a time is then linear in k.  The memoised rows only ever grow.
     """
-    if n < 0:
+    if n < 0 or start < 0:
         raise ValueError("indices must be >= 0")
     sigma, pascal = d.scale(), [[1]]
-    with _SUM_MOMENTS_LOCK:
-        ys, rows = _SUM_MOMENTS.setdefault(d, ([], []))
-    for j in itertools.count(start):
-        with _SUM_MOMENTS_LOCK:
+    with _MOMENTS_LOCK:
+        ys, rows = _sum_moments(d)
+        resume = max(min(start, len(rows) - 1), 0)
+        while resume > 0 and len(rows[resume]) <= n:
+            resume -= 1
+    for j in itertools.count(resume):
+        with _MOMENTS_LOCK:
             if j == len(rows):
                 rows.append([1])
             row = rows[j]
@@ -256,7 +260,8 @@ def _sum_moment_rows(d: Distribution, n: int, start: int = 0) -> Iterator[list[i
                 for m in range(len(row), n + 1):
                     prev = map(operator.mul, ys, rows[j - 1][m::-1])
                     row.append(sum(map(operator.mul, pascal[m], prev)))
-        yield row
+        if j >= start:
+            yield row
 
 
 def _nth(items: Iterator, k: int):
@@ -266,26 +271,9 @@ def _nth(items: Iterator, k: int):
     return next(itertools.islice(items, k, None))
 
 
-def _sum_moment_row(d: Distribution, k: int, n: int) -> list[int]:
-    """Row k of the stream, filled at least for m <= n.
-
-    The stream fills rows in order, so every row before one filled to order n is
-    too: the stream starts at the last such row up to k, and one already filled
-    is read at once.  Reading k = 0, 1, 2, ... one call at a time is then linear in k.
-    """
-    if k < 0:
-        raise ValueError("indices must be >= 0")
-    with _SUM_MOMENTS_LOCK:
-        rows = _SUM_MOMENTS.get(d, ([], []))[1]
-        start = max(min(k, len(rows) - 1), 0)
-        while start > 0 and len(rows[start]) <= n:
-            start -= 1
-    return _nth(_sum_moment_rows(d, n, start), k - start)
-
-
 def sum_raw_moment(d: Distribution, k: int, n: int) -> Fraction:
     """E[S_k**n] for S_k the sum of k i.i.d. copies of Y."""
-    return Fraction(_sum_moment_row(d, k, n)[n], d.scale() ** n)
+    return Fraction(next(_sum_moment_rows(d, n, k))[n], d.scale() ** n)
 
 
 def _sum_deg_rising_weights(d: Distribution, n: int, lam: Fraction) -> tuple[list[int], int]:
@@ -345,7 +333,7 @@ def deg_rising_moment(d: Distribution, n: int, lam: Fraction) -> Fraction:
 def sum_deg_rising_moment(d: Distribution, k: int, n: int, lam: Fraction) -> Fraction:
     """E of the degenerate rising factorial of the partial sum S_k."""
     weights, scale = _sum_deg_rising_weights(d, n, Fraction(lam))
-    return Fraction(sum(map(operator.mul, weights, _sum_moment_row(d, k, n))), scale)
+    return Fraction(sum(map(operator.mul, weights, next(_sum_moment_rows(d, n, k)))), scale)
 
 
 def parse_distribution(text: str) -> Distribution:

@@ -100,49 +100,51 @@ def _row(d: Distribution, n: int, lam: Fraction, route: Route) -> Polynomial:
             total = sum(times(prob_stirling2(d, l, k), den) * weights[l] for l in range(k, n + 1))
             entries.append(Fraction(total, den * b**n))
         return Polynomial(entries)
-    # PARTIAL_BELL: B_{n,k} of the single-copy moments E<Y>_{m,lam}, m = 1..n
-    rows, scale = _bell_rows(d, n, lam)
+    # PARTIAL_BELL: B_{n,k} of the single-copy moments E<Y>_{m,lam}, m = 1..n, in integers over c**n
+    rows, scale = _bell_rows(d, n, lam), lam.denominator * d.scale()
     return Polynomial(Fraction(v, scale**n) for v in rows[n])
 
 
-# (law, lam) -> (stream of the single-copy moments u_m, their scale c, the u_m drawn so far,
-# rows m = 0, 1, ... of c**m B_{m,k}(E<Y>_{1,lam}, E<Y>_{2,lam}, ...)); all int, the lists only grow
-_BellRows = tuple[Iterator[int], int, list[int], list[tuple[int, ...]]]
-_BELL_ROWS: dict[tuple[Distribution, Fraction], _BellRows] = {}
-_BELL_ROWS_LOCK = threading.Lock()
+_BELL_LOCK = threading.Lock()
 
 
-def _bell_rows(d: Distribution, n: int, lam: Fraction) -> tuple[list[tuple[int, ...]], int]:
-    """Rows 0..n, at least, of c**m B_{m,k} of the single-copy moments, and c.
-
-    The rows of (d, lam) are kept and extended in order, so reading rows 0..n one
-    call at a time costs one pass.  Row m is the top-element recurrence
-    B_{m,k} = sum_i C(m-1, i-1) x_i B_{m-i,k-1} (Comtet, Advanced Combinatorics,
-    1974, 3.3) on whole rows, as a polynomial Q_m in t:
-    Q_m = t sum_i C(m-1, i-1) u_i Q_{m-i}, with u_i = c**i x_i.
+@lru_cache(maxsize=None)
+def _bell_memo(d: Distribution, lam: Fraction) -> tuple[Iterator[None], list[tuple[int, ...]]]:
+    """Rows m = 0, 1, ... of c**m B_{m,k}(E<Y>_{1,lam}, E<Y>_{2,lam}, ...), c = b*sigma for lam = a/b, as
+    int, and the stream that appends each next row by the top-element recurrence B_{m,k} =
+    sum_i C(m-1, i-1) x_i B_{m-i,k-1} (Comtet, Advanced Combinatorics, 1974, 3.3) on whole rows,
+    Q_m = t sum_i C(m-1, i-1) u_i Q_{m-i} in t, with u_i = c**i x_i drawn from one moment stream.
     """
-    # called only when the _row memo misses, so it takes the lock every time
-    with _BELL_ROWS_LOCK:
-        entry = _BELL_ROWS.get((d, lam))
-        us = entry[2] if entry else []
-        # a law that cannot supply an order up to n raises here, before the memo
-        # changes, so the moment stream never meets it and stays usable
-        for m in range(len(us), n + 1):
-            raw_moment(d, m)
-        if entry is None:
-            entry = _BELL_ROWS[(d, lam)] = (*scaled_deg_rising_moments(d, lam), us, [(1,)])
-        moments, scale, us, rows = entry
-        while len(us) <= n:
+    rows = [(1,)]
+
+    def stream() -> Iterator[None]:
+        moments, _ = scaled_deg_rising_moments(d, lam)
+        us = [next(moments)]
+        for m in itertools.count(1):
             us.append(next(moments))
-        while len(rows) <= n:
-            m = len(rows)
             row = [0] * (m + 1)
             for i in range(1, m + 1):
                 weight = binomial(m - 1, i - 1) * us[i]
                 for k, v in enumerate(rows[m - i]):
                     row[k + 1] += weight * v
             rows.append(tuple(row))
-    return rows, scale
+            yield
+
+    return stream(), rows
+
+
+def _bell_rows(d: Distribution, n: int, lam: Fraction) -> list[tuple[int, ...]]:
+    """Rows 0..n, at least, of the memo of (d, lam); reading them one call at a time costs one pass."""
+    # called only when the _row memo misses, so it takes the lock every time
+    with _BELL_LOCK:
+        stream, rows = _bell_memo(d, lam)
+        # a law that cannot supply an order up to n raises here, before the rows
+        # change, so the moment stream never meets it and stays usable
+        for m in range(len(rows), n + 1):
+            raw_moment(d, m)
+        while len(rows) <= n:
+            next(stream)
+    return rows
 
 
 def prob_hetero_stirling(

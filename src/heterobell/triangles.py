@@ -17,15 +17,20 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .arith import RationalLike, factorial, times
 from .errors import InsufficientSequence
 from .polynomial import Polynomial
 
-# (q*a, q*b, q) -> rows 0, 1, ... of q**n * T(n, k); lists only ever grow
-_ROWS: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
 _ROWS_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=None)
+def _rows(a: int, b: int, q: int) -> list[tuple[int, ...]]:
+    """The memo of the (a/q, b/q) triangle: rows 0, 1, ... of q**n * T(n, k), grown only by _row."""
+    return [(1,)]
 
 
 def _row(a: int, b: int, q: int, n: int) -> tuple[int, ...]:
@@ -36,10 +41,9 @@ def _row(a: int, b: int, q: int, n: int) -> tuple[int, ...]:
     """
     if n < 0:
         raise ValueError("triangle indices must be >= 0")
-    rows = _ROWS.get((a, b, q))
-    if rows is None or len(rows) <= n:
+    rows = _rows(a, b, q)
+    if len(rows) <= n:
         with _ROWS_LOCK:
-            rows = _ROWS.setdefault((a, b, q), [(1,)])
             while len(rows) <= n:
                 m = len(rows) - 1
                 row = [0] * (m + 2)

@@ -16,6 +16,7 @@ from heterobell import (
     deg_stirling1,
     hetero,
     hetero_stirling,
+    parse_distribution,
     prob_hetero_bell_poly,
     stirling2,
 )
@@ -168,14 +169,16 @@ def test_moment_exhaustion_reported(capsys):
 
 @pytest.mark.parametrize("family", ["prob_hetero", "prob_stirling2", "prob_lah"])
 def test_short_moment_list_exits_2_and_leaves_the_rows_unchanged(capsys, family):
-    def memo():
-        return {key: (entry[1], list(entry[2]), list(entry[3])) for key, entry in hetero._BELL_ROWS.items()}
-
     argv = ("table", family, "--nmax", "5", "--dist", "moments:1,1/2,1/3", "--lambda", "1/3")
     assert run_cli(capsys, *argv[:3], "2", *argv[4:])[0] == 0
-    before = memo()
+    keys = hetero._bell_memo.cache_info().currsize
+    law = parse_distribution("moments:1,1/2,1/3")
+    lam = Fraction({"prob_stirling2": 0, "prob_lah": 1}.get(family, Fraction(1, 3)))
+    entry = hetero._bell_memo(law, lam)  # a hit: the stream and rows the table kept
+    before = list(entry[1])
     assert run_cli(capsys, *argv) == (2, "", "error: moment of order 3 requested, only 2 supplied\n")
-    assert memo() == before
+    assert hetero._bell_memo(law, lam) is entry and entry[1] == before
+    assert hetero._bell_memo.cache_info().currsize == keys
 
 
 def test_verify_single_tag(capsys):

@@ -1,8 +1,11 @@
 import ast
 import copy
+import functools
 import importlib
+import math
 import os
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -271,25 +274,47 @@ def test_sum_moment_of_many_copies():
 
 
 def test_reading_one_k_at_a_time_walks_each_row_about_once(monkeypatch):
-    engine, walked = heterobell.distributions._sum_moment_rows, []
+    looked_up = set()
 
-    def counted(*args):
-        for row in engine(*args):
-            walked.append(row)
-            yield row
+    class Rows(list):
+        """The kept rows of one law, noting each row the moment stream looks up."""
 
-    monkeypatch.setattr(heterobell.distributions, "_sum_moment_rows", counted)
+        def __getitem__(self, j):
+            looked_up.add(j)
+            return super().__getitem__(j)
+
     clear_caches()
+    monkeypatch.setattr(heterobell.distributions, "_sum_moments", functools.cache(lambda d: ([], Rows())))
     p, lam = Fraction(1, 2), Fraction(1, 3)
     for k in range(301):
         # <x>_{1,lam} = x, so both are E[S_k] = k p
         assert sum_deg_rising_moment(Bernoulli(p), k, 1, lam) == sum_raw_moment(Bernoulli(p), k, 1) == k * p
-    assert len(walked) <= 3 * 301
-    walked.clear()
-    assert sum_raw_moment(Bernoulli(p), 150, 1) == 75 and len(walked) == 1  # a filled row is read at once
-    walked.clear()
+        assert looked_up <= {k - 1, k}  # the stream resumes at the row before
+        looked_up.clear()
+    assert sum_raw_moment(Bernoulli(p), 150, 1) == 75 and looked_up == {150}  # a filled row is read at once
+    looked_up.clear()
     # rows filled only to order 1 are extended from row 0 on
-    assert sum_raw_moment(Bernoulli(p), 150, 2) == Fraction(150 * 151, 4) and len(walked) == 151
+    assert sum_raw_moment(Bernoulli(p), 150, 2) == Fraction(150 * 151, 4) and looked_up == set(range(151))
+
+
+def test_the_moment_stream_starts_anywhere():
+    clear_caches()
+    d, stream = Bernoulli(Fraction(1, 2)), heterobell.distributions._sum_moment_rows
+    for k in range(3):
+        sum_raw_moment(d, k, 1)  # rows 0..2, filled to order 1
+
+    def scaled(k, n):
+        # sigma**m * E[S_k**m] for m <= n, with sigma = 2 and S_k binomial(k, 1/2)
+        return [Fraction(2**m * sum(math.comb(k, j) * j**m for j in range(k + 1)), 2**k) for m in range(n + 1)]
+
+    # rows 0 and 1 are extended to order 3 before row 2 is
+    assert next(stream(d, 3, 2)) == [1, 2, 6, 20] == scaled(2, 3)
+    # a start past the kept rows makes the rows before it on the way
+    assert next(stream(d, 3, 10)) == scaled(10, 3)
+    # each row is filled at least to the order asked for
+    assert next(stream(d, 2, 6))[:3] == scaled(6, 2)
+    with pytest.raises(ValueError, match="indices must be >= 0"):
+        next(stream(d, 3, -1))
 
 
 def test_zero_fold_sum():
@@ -438,12 +463,33 @@ def test_clear_caches_empties_every_memo():
 
     before = compute()
     caches = _package_lru_caches()
-    assert len(caches) == 8
+    # the triangle, moment and partial Bell rows among them
+    assert {"triangles._rows", "distributions._sum_moments", "hetero._bell_memo"} <= {
+        name.removeprefix("heterobell.") for name in caches
+    }
+    assert len(caches) == 11
     assert all(cache.cache_info().currsize for cache in caches.values())
-    assert heterobell.hetero._BELL_ROWS
     clear_caches()
     assert {name: cache.cache_info().currsize for name, cache in caches.items()} == dict.fromkeys(caches, 0)
-    assert heterobell.triangles._ROWS == {}
-    assert heterobell.distributions._SUM_MOMENTS == {}
-    assert heterobell.hetero._BELL_ROWS == {}
     assert compute() == before
+
+
+def test_no_module_keeps_a_hand_rolled_memo():
+    def sizes():
+        return {
+            f"{name}.{attr}": len(value)
+            for name, module in list(sys.modules.items())
+            if name.startswith("heterobell.")
+            for attr, value in vars(module).items()
+            if not attr.startswith("__") and isinstance(value, (dict, list, set))
+        }
+
+    clear_caches()
+    before = sizes()
+    law, lam = Poisson(Fraction(5, 4)), Fraction(-5, 7)
+    for route in Route:
+        prob_hetero_bell_poly(law, 6, lam, route)
+    dobinski_details(Bernoulli(Fraction(1, 3)), 3, lam, 2)
+    sum_raw_moment(law, 4, 3)
+    # every memo is an lru_cache, which clear_caches() finds
+    assert sizes() == before

@@ -237,8 +237,8 @@ def test_table_reads_one_partial_bell_row_per_n():
         assert main(["table", "prob_hetero", "--nmax", "12", "--dist", "poisson:5/4", "--lambda", "1/3"]) == 0
     info = hetero._row.cache_info()
     assert (info.hits, info.misses) == (0, 13)
-    assert len(hetero._BELL_ROWS[(law, lam)][3]) == 13
-    assert distributions._SUM_MOMENTS == {}  # DIRECT is not read
+    assert len(hetero._bell_memo(law, lam)[1]) == 13
+    assert distributions._sum_moments.cache_info().currsize == 0  # DIRECT is not read
 
 
 def test_rows_read_one_at_a_time_make_one_pass(monkeypatch):
@@ -249,7 +249,7 @@ def test_rows_read_one_at_a_time_make_one_pass(monkeypatch):
     law, lam = _COUNTED_LAWS[0], Fraction(-5, 2)
     for n in range(41):
         prob_hetero_bell_poly(law, n, lam, Route.PARTIAL_BELL)
-        rows_made.append(len(hetero._BELL_ROWS[(law, lam)][3]))
+        rows_made.append(len(hetero._bell_memo(law, lam)[1]))
     assert streams == [(law, lam)]  # the moments are drawn from one stream
     assert rows_made == list(range(1, 42))  # and each call adds only the row it asks for
     row = prob_hetero_bell_poly(law, 40, lam, Route.PARTIAL_BELL)
@@ -268,7 +268,7 @@ def test_rows_read_out_of_order_equal_a_fresh_process():
     law, lam = parse_distribution(law_text), Fraction(-5, 7)
     for n in (10, 5, 20):
         prob_hetero_bell_poly(law, n, lam, Route.PARTIAL_BELL)
-    assert len(hetero._BELL_ROWS[(law, lam)][3]) == 21
+    assert len(hetero._bell_memo(law, lam)[1]) == 21
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
@@ -279,13 +279,13 @@ def test_short_moment_list_leaves_the_rows_unchanged():
     clear_caches()
     short, lam = MomentList((1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))), Fraction(1, 3)
     two = prob_hetero_bell_poly(short, 2, lam, Route.PARTIAL_BELL)
-    entry = hetero._BELL_ROWS[(short, lam)]
-    before = (entry[0], entry[1], list(entry[2]), list(entry[3]))
+    entry = hetero._bell_memo(short, lam)
+    before = list(entry[1])
     for n in (4, 9):
         with pytest.raises(MomentUnavailable, match="order 4 requested, only 3 supplied"):
             prob_hetero_bell_poly(short, n, lam, Route.PARTIAL_BELL)
-        assert hetero._BELL_ROWS == {(short, lam): entry}
-        assert (entry[0], entry[1], list(entry[2]), list(entry[3])) == before
+        assert hetero._bell_memo.cache_info().currsize == 1
+        assert hetero._bell_memo(short, lam) is entry and entry[1] == before
     # the kept moment stream goes on from where it stopped
     assert prob_hetero_bell_poly(short, 3, lam, Route.PARTIAL_BELL) == prob_hetero_bell_poly(short, 3, lam)
     assert prob_hetero_bell_poly(short, 2, lam, Route.PARTIAL_BELL) is two
@@ -329,7 +329,7 @@ def test_direct_row_is_integer_until_its_entries(monkeypatch):
         assert built <= 1 + (n + 1)
         assert row == prob_hetero_bell_poly(d, n, lam, Route.PARTIAL_BELL)
         # DIRECT reads no stirling1u row, which STIRLING_TRANSFORM weights by
-        assert (1, 0, 1) not in triangles._ROWS
+        assert triangles._rows(1, 0, 1) == [(1,)]
 
 
 def test_partial_bell_row_and_recurrence_are_integer_until_their_entries(monkeypatch):
@@ -339,11 +339,11 @@ def test_partial_bell_row_and_recurrence_are_integer_until_their_entries(monkeyp
         row, built = _count_fractions(monkeypatch, lambda: prob_hetero_bell_poly(d, n, lam, Route.PARTIAL_BELL))
         assert built <= 1 + (n + 1)
         # single-copy moments only: the partial-sum engine is never filled
-        assert distributions._SUM_MOMENTS == {}
+        assert distributions._sum_moments.cache_info().currsize == 0
         polys, built = _count_fractions(monkeypatch, lambda: prob_hetero_bell_recurrence(d, n, lam))
         # lam, then one Fraction per coefficient of orders 0..n
         assert built <= 1 + (n + 1) * (n + 2) // 2
-        assert distributions._SUM_MOMENTS == {}
+        assert distributions._sum_moments.cache_info().currsize == 0
         # the two share one loop, so each is checked against DIRECT, not against the other
         direct = prob_hetero_bell_poly(d, n, lam, Route.DIRECT)
         assert row == direct and polys[n] == direct
@@ -361,7 +361,7 @@ def test_stirling_transform_row_is_integer_until_its_entries(monkeypatch):
             monkeypatch, lambda: prob_hetero_bell_poly(d, n, lam, Route.STIRLING_TRANSFORM)
         )
         assert built <= 1 + (n + 1)
-        assert (1, 0, 1) in triangles._ROWS  # weighted by the stirling1u row
+        assert len(triangles._rows(1, 0, 1)) == n + 1  # weighted by the stirling1u row
         assert row == prob_hetero_bell_poly(d, n, lam, Route.DIRECT)
 
 

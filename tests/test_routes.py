@@ -19,6 +19,8 @@ Run as a module to print the routes per tag from the traces:
 from __future__ import annotations
 
 import functools
+import importlib
+import inspect
 import sys
 import time
 from dataclasses import dataclass, field
@@ -183,6 +185,24 @@ def _shipped() -> tuple[dict[str, Routes], float]:
 
 def test_declarations_cover_every_tag():
     assert list(SIDES) == list(IDENTITY_TAGS)
+
+
+def _traced_as(name: str) -> str | None:
+    """The name the trace records for the package function that name resolves to, if any."""
+    module, _, qualname = name.partition(".")
+    found = importlib.import_module(f"heterobell.{module}")
+    for part in qualname.split("."):
+        found = getattr(found, part, None)
+    found = inspect.unwrap(found)
+    if not inspect.isfunction(found):
+        return None
+    return f"{found.__module__.removeprefix('heterobell.')}.{found.__qualname__}"
+
+
+def test_every_declared_name_is_a_function_of_the_package():
+    # a forbidden name that no longer exists is never entered, so its declaration would pass vacuously
+    declared = {_LAW, *_ROWS}.union(*(sides.left_not | sides.right_not for sides in SIDES.values()))
+    assert {name: _traced_as(name) for name in declared} == {name: name for name in declared}
 
 
 @pytest.mark.parametrize("tag", IDENTITY_TAGS)
