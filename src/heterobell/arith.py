@@ -42,7 +42,10 @@ def factorial(n: int) -> int:
 
 def times(q: Fraction, m: int) -> int:
     """q * m as an int, for an integer m that the denominator of q divides."""
-    return q.numerator * (m // q.denominator)
+    whole, rest = divmod(m, q.denominator)
+    if rest:
+        raise ValueError(f"{q} * {m} is not an integer")
+    return q.numerator * whole
 
 
 def binomial(n: int, k: int) -> int:

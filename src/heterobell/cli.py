@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dob.add_argument("--lambda", dest="lam", type=parse_rational, default=Fraction(0),
                        metavar="RAT")
     p_dob.add_argument("--x", type=parse_rational, required=True)
-    p_dob.add_argument("--tol", type=float, default=1e-12)
+    p_dob.add_argument("--tol", type=float, default=1e-12, help="truncation target, not an error cap")
     p_dob.add_argument("--out", default=None)
     p_dob.set_defaults(func=cmd_dobinski)
 

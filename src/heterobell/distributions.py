@@ -239,6 +239,8 @@ def _sum_moment_rows(d: Distribution, n: int, start: int = 0) -> Iterator[list[i
     """
     if n < 0 or start < 0:
         raise ValueError("indices must be >= 0")
+    for m in range(1, n + 1):  # a law short of order n raises here, before its memo has a key
+        raw_moment(d, m)
     sigma, pascal = d.scale(), [[1]]
     with _MOMENTS_LOCK:
         ys, rows = _sum_moments(d)
@@ -264,38 +266,25 @@ def _sum_moment_rows(d: Distribution, n: int, start: int = 0) -> Iterator[list[i
             yield row
 
 
-def _nth(items: Iterator, k: int):
-    """Item k of a stream, counting from 0."""
-    if k < 0:
-        raise ValueError("indices must be >= 0")
-    return next(itertools.islice(items, k, None))
-
-
 def sum_raw_moment(d: Distribution, k: int, n: int) -> Fraction:
     """E[S_k**n] for S_k the sum of k i.i.d. copies of Y."""
     return Fraction(next(_sum_moment_rows(d, n, k))[n], d.scale() ** n)
 
 
-def _sum_deg_rising_weights(d: Distribution, n: int, lam: Fraction) -> tuple[list[int], int]:
-    """Integers w_i and D with E<S_k>_{n,lam} = sum_i w_i sigma**i E[S_k**i] / D.
+def scaled_sum_deg_rising_moments(
+    d: Distribution, n: int, lam: Fraction, start: int = 0
+) -> tuple[Iterator[int], int]:
+    """Integers M_k, yielded lazily for k = start, start + 1, ..., and D with E<S_k>_{n,lam} = M_k / D.
 
-    With lam = a/b, b**n <x>_{n,lam} = prod_{r<n} (b*x + r*a) is expanded in
-    integers, and D = (b*sigma)**n.
+    For lam = a/b, coefficient i of prod_{r<n} (b*x + r*a) = b**n <x>_{n,lam}, times sigma**(n-i), weighs
+    entry i of row k.  The coefficients are expanded once per call.
     """
     a, b, sigma = lam.numerator, lam.denominator, d.scale()
     coeffs = [1]  # of x**0, x**1, ... in b**r <x>_{r,lam}, for r = 0..n
     for r in range(n):
         coeffs = [r * a * c + b * c_left for c, c_left in zip(coeffs + [0], [0] + coeffs)]
-    return [c * sigma ** (n - i) for i, c in enumerate(coeffs)], (b * sigma) ** n
-
-
-def scaled_sum_deg_rising_moments(d: Distribution, n: int, lam: Fraction) -> tuple[Iterator[int], int]:
-    """Integers M_k, yielded lazily for k = 0, 1, 2, ..., and D with E<S_k>_{n,lam} = M_k / D.
-
-    The weights of _sum_deg_rising_weights are expanded once per call.
-    """
-    weights, scale = _sum_deg_rising_weights(d, n, lam)
-    return (sum(map(operator.mul, weights, row)) for row in _sum_moment_rows(d, n)), scale
+    weights = [c * sigma ** (n - i) for i, c in enumerate(coeffs)]
+    return (sum(map(operator.mul, weights, row)) for row in _sum_moment_rows(d, n, start)), (b * sigma) ** n
 
 
 def scaled_deg_rising_moments(d: Distribution, lam: Fraction) -> tuple[Iterator[int], int]:
@@ -325,15 +314,17 @@ def scaled_deg_rising_moments(d: Distribution, lam: Fraction) -> tuple[Iterator[
 @lru_cache(maxsize=None)
 def deg_rising_moment(d: Distribution, n: int, lam: Fraction) -> Fraction:
     """E of the degenerate rising factorial of Y itself."""
+    if n < 0:
+        raise ValueError("indices must be >= 0")
     moments, scale = scaled_deg_rising_moments(d, Fraction(lam))
-    return Fraction(_nth(moments, n), scale**n)
+    return Fraction(next(itertools.islice(moments, n, None)), scale**n)
 
 
 @lru_cache(maxsize=None)
 def sum_deg_rising_moment(d: Distribution, k: int, n: int, lam: Fraction) -> Fraction:
     """E of the degenerate rising factorial of the partial sum S_k."""
-    weights, scale = _sum_deg_rising_weights(d, n, Fraction(lam))
-    return Fraction(sum(map(operator.mul, weights, next(_sum_moment_rows(d, n, k)))), scale)
+    moments, scale = scaled_sum_deg_rising_moments(d, n, Fraction(lam), k)
+    return Fraction(next(moments), scale)
 
 
 def parse_distribution(text: str) -> Distribution:

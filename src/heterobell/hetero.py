@@ -80,6 +80,8 @@ def prob_lah(d: Distribution, n: int, k: int) -> Fraction:
 @lru_cache(maxsize=None)
 def _row(d: Distribution, n: int, lam: Fraction, route: Route) -> Polynomial:
     """Row n of the chosen route, coefficient k for k = 0..n; entries with k > n vanish."""
+    for m in range(1, n + 1):  # a law short of order n raises here, before any memo has a key
+        raw_moment(d, m)
     if route is Route.DIRECT:
         # the paper's definition (1/k!) sum_j (-1)**(k-j) C(k, j) E<S_j>_{n,lam} is the k-th
         # forward difference at j = 0 over k!; with E<S_j>_{n,lam} = moments[j] / scale, the
@@ -138,10 +140,6 @@ def _bell_rows(d: Distribution, n: int, lam: Fraction) -> list[tuple[int, ...]]:
     # called only when the _row memo misses, so it takes the lock every time
     with _BELL_LOCK:
         stream, rows = _bell_memo(d, lam)
-        # a law that cannot supply an order up to n raises here, before the rows
-        # change, so the moment stream never meets it and stays usable
-        for m in range(len(rows), n + 1):
-            raw_moment(d, m)
         while len(rows) <= n:
             next(stream)
     return rows

@@ -15,6 +15,7 @@ from heterobell import (
     multinomial,
     parse_rational,
 )
+from heterobell.arith import times
 
 from .oracles import rising
 
@@ -52,6 +53,13 @@ def test_factorial_and_binomial_match_math():
 def test_binomial_negative_k_raises():
     with pytest.raises(ValueError):
         binomial(5, -1)
+
+
+def test_times_refuses_a_product_that_is_not_an_integer():
+    assert times(Fraction(-5, 3), 6) == -10
+    assert times(Fraction(7), 0) == 0
+    with pytest.raises(ValueError, match="not an integer"):
+        times(Fraction(1, 3), 2)
 
 
 def test_multinomial():

@@ -41,6 +41,8 @@ from heterobell import (
     prob_stirling2,
     raw_moment,
     stirling2,
+    sum_deg_rising_moment,
+    sum_raw_moment,
     triangles,
 )
 
@@ -291,6 +293,29 @@ def test_short_moment_list_leaves_the_rows_unchanged():
     assert prob_hetero_bell_poly(short, 2, lam, Route.PARTIAL_BELL) is two
 
 
+_SHORT_LAW_MEMOS = (hetero._bell_memo, distributions._sum_moments, hetero._row)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [lambda d, route=route: prob_hetero_bell_poly(d, 5, 0, route) for route in Route]
+    + [lambda d: sum_raw_moment(d, 3, 4), lambda d: sum_deg_rising_moment(d, 3, 4, 0)],
+    ids=[route.name for route in Route] + ["sum_raw_moment", "sum_deg_rising_moment"],
+)
+def test_short_moment_list_leaves_no_memo_entry(read):
+    clear_caches()
+    with pytest.raises(MomentUnavailable, match="^moment of order 2 requested, only 1 supplied$"):
+        read(MomentList((1, HALF)))
+    assert [memo.cache_info().currsize for memo in _SHORT_LAW_MEMOS] == [0, 0, 0]
+
+
+def test_short_moment_list_table_exits_2_and_leaves_no_memo_entry(capsys):
+    clear_caches()
+    assert main(["table", "prob_hetero", "--nmax", "5", "--dist", "moments:1,1/2"]) == 2
+    assert capsys.readouterr() == ("", "error: moment of order 2 requested, only 1 supplied\n")
+    assert [memo.cache_info().currsize for memo in _SHORT_LAW_MEMOS] == [0, 0, 0]
+
+
 _COUNTED_N, _COUNTED_LAM = 12, Fraction(-13, 7)
 _COUNTED_LAWS = (
     FiniteSupport(((Fraction(-3, 2), Fraction(1, 4)), (Fraction(5, 2), Fraction(3, 4)))),
@@ -383,7 +408,7 @@ def test_direct_rows_enter_the_moment_engine_once_each(monkeypatch):
     for n in range(21):
         prob_hetero_bell_poly(law, n, Fraction(1, 3), Route.DIRECT)
         assert len(calls) == n + 1
-    assert calls == [(law, n) for n in range(21)]
+    assert calls == [(law, n, 0) for n in range(21)]
 
 
 def test_negative_indices_rejected():

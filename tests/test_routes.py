@@ -12,7 +12,8 @@ self-comparisons, where the check degenerates into comparing a value with
 itself, or anywhere for an identity about one route.  Adding a tag means
 adding its entry here.
 
-Run as a module to print the routes per tag from the traces:
+Run as a module to print the routes per tag from the traces; it exits 1 when a
+side breaks its declaration:
 
     PYTHONPATH=src python -m tests.test_routes
 """
@@ -225,7 +226,7 @@ def test_self_comparisons_are_listed():
     assert any(pt["n"] != 0 for pt in sample("T2.8"))
 
 
-def test_partial_bell_read_through_direct_violates_the_declarations(monkeypatch):
+def _read_partial_bell_through_direct(monkeypatch):
     row = hetero._row
 
     def direct(d, n, lam, route):
@@ -233,14 +234,30 @@ def test_partial_bell_read_through_direct_violates_the_declarations(monkeypatch)
 
     direct.cache_clear = row.cache_clear  # so that clear_caches() still empties the memo
     monkeypatch.setattr(hetero, "_row", direct)
+
+
+def test_partial_bell_read_through_direct_violates_the_declarations(monkeypatch):
+    _read_partial_bell_through_direct(monkeypatch)
     t29 = routes("T2.9").violations
     assert any("the right side enters distributions._sum_moment_rows" in v for v in t29), t29
     limits = routes("LIMITS").violations
     assert any("the left side enters distributions._sum_moment_rows" in v for v in limits), limits
 
 
-def main() -> None:
-    """Print the routes per tag: each side's distinctive functions, and where the sides meet."""
+def test_main_exits_1_on_a_violation(monkeypatch, capsys):
+    assert main() == 0
+    assert "VIOLATION" not in capsys.readouterr().out
+    _read_partial_bell_through_direct(monkeypatch)
+    monkeypatch.setattr(sys.modules[__name__], "_shipped", functools.cache(_shipped.__wrapped__))
+    assert main() == 1
+    assert "  VIOLATION: T2.9 " in capsys.readouterr().out
+
+
+def main() -> int:
+    """Print the routes per tag: each side's distinctive functions, and where the sides meet.
+
+    Returns the exit status: 1 when a side breaks its declaration, else 0.
+    """
 
     def listed(names: set[str]) -> str:
         # the library functions, not the sides' own code or the comprehensions inside functions
@@ -260,7 +277,8 @@ def main() -> None:
         for violation in found[tag].violations:
             print(f"  VIOLATION: {violation}")
     print(f"traced in {seconds:.2f} s")
+    return int(any(found[tag].violations for tag in IDENTITY_TAGS))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
