@@ -28,6 +28,8 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator: {text!r}") from None
+    except ValueError:  # more digits than Python converts from a string (sys.get_int_max_str_digits)
+        raise ParseError(f"rational literal of {len(s)} characters has too many digits") from None
 
 
 def format_rational(q: RationalLike) -> str:

@@ -54,10 +54,26 @@ POLYS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise ParseError, so that main() reports them as one
+    'error:' line, as it does every other error, and not with argparse's usage block."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
+def _rational(text: str) -> Fraction:
+    # argparse shows an ArgumentTypeError's own text, so the reason parse_rational gives is kept
+    try:
+        return parse_rational(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 # argparse parsers are reusable, so one serves every main() call of the process
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heterobell",
         description="Exact Stirling/Bell family tables, polynomials, and identity checks.",
     )
@@ -66,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="print a lower-triangular number table")
     p_table.add_argument("family", choices=TABLES)
     p_table.add_argument("--nmax", type=int, required=True)
-    p_table.add_argument("--lambda", dest="lam", type=parse_rational, default=Fraction(0),
+    p_table.add_argument("--lambda", dest="lam", type=_rational, default=Fraction(0),
                          metavar="RAT", help="deformation parameter (rational, default 0)")
     p_table.add_argument("--dist", default=None,
                          help="distribution, e.g. bernoulli:1/3 or finite:0:1/2,2:1/2")
@@ -77,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_poly = sub.add_parser("poly", help="print one polynomial's coefficients")
     p_poly.add_argument("kind", choices=POLYS)
     p_poly.add_argument("--n", type=int, required=True)
-    p_poly.add_argument("--lambda", dest="lam", type=parse_rational, default=Fraction(0),
+    p_poly.add_argument("--lambda", dest="lam", type=_rational, default=Fraction(0),
                         metavar="RAT")
     p_poly.add_argument("--dist", default=None)
     p_poly.add_argument("--format", choices=("csv", "json"), default="json")
@@ -94,9 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dob = sub.add_parser("dobinski", help="series evaluation with certified error")
     p_dob.add_argument("--dist", required=True)
     p_dob.add_argument("--n", type=int, required=True)
-    p_dob.add_argument("--lambda", dest="lam", type=parse_rational, default=Fraction(0),
+    p_dob.add_argument("--lambda", dest="lam", type=_rational, default=Fraction(0),
                        metavar="RAT")
-    p_dob.add_argument("--x", type=parse_rational, required=True)
+    p_dob.add_argument("--x", type=_rational, required=True)
     p_dob.add_argument("--tol", type=float, default=1e-12, help="truncation target, not an error cap")
     p_dob.add_argument("--out", default=None)
     p_dob.set_defaults(func=cmd_dobinski)
@@ -248,10 +264,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             glued.append(arg)
     try:
-        args = parser.parse_args(glued)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        try:
+            args = parser.parse_args(glued)
+        except SystemExit as exc:  # -h, after printing the help
+            return int(exc.code or 0)
         # read here, not by argparse, so a bad law exits with its own reason, read or not
         if getattr(args, "dist", None) is not None:
             args.dist = parse_distribution(args.dist)

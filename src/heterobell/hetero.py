@@ -145,6 +145,30 @@ def _bell_rows(d: Distribution, n: int, lam: Fraction) -> list[tuple[int, ...]]:
     return rows
 
 
+_VALUES_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=None)
+def _values(d: Distribution, lam: Fraction, x: Fraction) -> list[Fraction]:
+    """The memo of (d, lam, x): the DIRECT rows 0, 1, ... evaluated at x, grown only by _direct_values."""
+    return []
+
+
+def _direct_values(d: Distribution, n: int, lam: Fraction, x: Fraction) -> list[Fraction]:
+    """Values at x of the DIRECT rows 0..n, at least, of (d, lam): each row is evaluated once per point.
+
+    The list is the memo's own, so a caller reads it and never changes it.
+    """
+    _row(d, n, lam, Route.DIRECT)  # a law short of order n raises here, before _values has a key
+    # the memo is looked up under the lock too, so that two threads missing it at once cannot
+    # each make a list of their own
+    with _VALUES_LOCK:
+        values = _values(d, lam, x)
+        while len(values) <= n:
+            values.append(_row(d, len(values), lam, Route.DIRECT)(x))
+    return values
+
+
 def prob_hetero_stirling(
     d: Distribution, n: int, k: int, lam: RationalLike, route: Route = Route.DIRECT
 ) -> Fraction:

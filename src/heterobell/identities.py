@@ -27,6 +27,7 @@ from .distributions import (
 from .errors import ParseError, UnknownIdentity
 from .hetero import (
     Route,
+    _direct_values,
     hetero_bell_poly,
     hetero_stirling,
     prob_hetero_bell_poly,
@@ -91,13 +92,15 @@ def _lah_through_lambdas(dist, n: int, k: int, lambdas: tuple[Fraction, ...]) ->
     ]
 
 
+# T2.10 to T2.13 read the DIRECT rows at a few points each, through hetero._direct_values,
+# which evaluates each row once per (law, lam, point)
 def _addition_rhs(dist, n: int, lam: Fraction, x: Fraction, y: Fraction) -> Fraction:
-    rows = [prob_hetero_bell_poly(dist, k, lam) for k in range(n + 1)]
-    return sum((binomial(n, k) * rows[k](x) * rows[n - k](y) for k in range(n + 1)), Fraction(0))
+    at_x, at_y = _direct_values(dist, n, lam, x), _direct_values(dist, n, lam, y)
+    return sum((binomial(n, k) * at_x[k] * at_y[n - k] for k in range(n + 1)), Fraction(0))
 
 
 def _numbers_rhs(dist, n: int, lam: Fraction) -> Polynomial:
-    numbers = [prob_hetero_bell_poly(dist, j, lam)(1) for j in range(n + 1)]
+    numbers = _direct_values(dist, n, lam, Fraction(1))
     bells = [partial_bell(n, k, numbers[1 : n - k + 2]) for k in range(n + 1)]
     # the falling factorial x(x-1)...(x-k+1) is the degenerate rising one at lam = -1
     return sum((b * deg_rising_poly(k, Fraction(-1)) for k, b in enumerate(bells)), Polynomial.zero())
@@ -140,7 +143,8 @@ def _read(parse: Callable, convert: Callable = lambda v: v) -> Callable:
     return lambda v: parse(v) if isinstance(v, str) else convert(v)
 
 
-_RATIONAL = _read(parse_rational, Fraction)
+# a grid's values already are Fractions, and are taken as they are
+_RATIONAL = _read(parse_rational, lambda v: v if type(v) is Fraction else Fraction(v))
 
 
 def _law(cls: type) -> tuple[Callable, Callable]:
@@ -248,24 +252,22 @@ _IDENTITIES: dict[str, _Identity] = {
     ),
     "T2.10": _Identity(
         ("dist", "n", "lam", "x", "y"),
-        lambda dist, n, lam, x, y: prob_hetero_bell_poly(dist, n, lam)(x + y),
+        lambda dist, n, lam, x, y: _direct_values(dist, n, lam, x + y)[n],
         _addition_rhs,
         (_DIST, _LAM, _N, _X, _listed("y", "ys")),
     ),
     "T2.11": _Identity(("dist", "n", "lam"), prob_hetero_bell_poly, _numbers_rhs, (_DIST, _LAM, _N)),
     "T2.12": _Identity(
         ("dist", "n", "k", "lam", "x"),
-        lambda dist, n, k, lam, x: binomial(n, k) * prob_hetero_bell_poly(dist, n - k, lam)(k * x),
+        lambda dist, n, k, lam, x: binomial(n, k) * _direct_values(dist, n - k, lam, k * x)[n - k],
         lambda dist, n, k, lam, x: partial_bell(
-            n, k, [m * prob_hetero_bell_poly(dist, m - 1, lam)(x) for m in range(1, n - k + 2)]
+            n, k, [m * v for m, v in enumerate(_direct_values(dist, n - k, lam, x)[: n - k + 1], 1)]
         ),
         (_DIST, _LAM, _X, _N, _K_UPTO_N),
     ),
     "T2.13": _Identity(
         ("dist", "n", "k", "lam", "x"),
-        lambda dist, n, k, lam, x: partial_bell(
-            n, k, [prob_hetero_bell_poly(dist, j, lam)(x) for j in range(1, n - k + 2)]
-        ),
+        lambda dist, n, k, lam, x: partial_bell(n, k, _direct_values(dist, n - k + 1, lam, x)[1 : n - k + 2]),
         lambda dist, n, k, lam, x: Polynomial(
             stirling2(j, k) * c for j, c in enumerate(prob_hetero_bell_poly(dist, n, lam))
         )(x),

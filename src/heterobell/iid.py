@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 from .arith import RationalLike, binomial, factorial, multinomial
@@ -38,21 +39,14 @@ def compositions(n: int, j: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def order_split_rhs(
-    d: Distribution, n: int, m: int, t: RationalLike, lam: RationalLike
-) -> Fraction:
-    """Order n + m polynomial value at t, rebuilt from orders 0..m.
+@lru_cache(maxsize=None)
+def _split_weights(d: Distribution, n: int, m: int, lam: Fraction) -> tuple[Polynomial, ...]:
+    """Polynomials W_0..W_m in t with order_split_rhs = sum_k P_k(t) W_k(t), free of t's value.
 
-    Double sum over j <= n and k <= m of binomial and t**j/j! weights,
-    with an inner sum over strict compositions of n into j parts.  Each
-    part size has one moment series, so the inner sum is one polynomial in
-    z per j, and the outer factor <z + n*lam>_{m-k,lam} reads its
-    coefficients.  Exactly equals evaluating the order-(n+m) polynomial at t.
+    W_k = C(m, k) sum_j M[k][j] t**j / j!, where M[k][j] = sum_s c_s s! [z**s] inner_j reads the
+    coefficients c of the outer factor <z + n*lam>_{m-k,lam} against the inner sum over compositions
+    of n into j parts.  Each part size has one moment series, so inner_j is one polynomial in z.
     """
-    if n < 0 or m < 0:
-        raise ValueError("orders must be >= 0")
-    t = Fraction(t)
-    lam = Fraction(lam)
     one = Polynomial((1,))
     series = {part: _moment_series(d, part, m, lam) for part in range(1, n + 1)}
     inner = []
@@ -61,13 +55,34 @@ def order_split_rhs(
         for ls in compositions(n, j):
             by_parts = by_parts + multinomial(n, ls) * math.prod((series[l] for l in ls), start=one)
         inner.append(by_parts)
-    total = Fraction(0)
+    weights = []
     for k in range(m + 1):
-        weight = binomial(m, k) * prob_hetero_bell_poly(d, k, lam)(t)
-        if weight == 0:
-            continue
         outer = math.prod((Polynomial(((n + i) * lam, 1)) for i in range(m - k)), start=one)
-        for j, by_parts in enumerate(inner):
-            moment = sum(c * factorial(s) * by_parts.coeff(s) for s, c in enumerate(outer))
-            total += weight * t**j / factorial(j) * moment
-    return total
+        weights.append(
+            binomial(m, k)
+            * Polynomial(
+                sum(c * factorial(s) * by_parts.coeff(s) for s, c in enumerate(outer)) / factorial(j)
+                for j, by_parts in enumerate(inner)
+            )
+        )
+    return tuple(weights)
+
+
+def order_split_rhs(
+    d: Distribution, n: int, m: int, t: RationalLike, lam: RationalLike
+) -> Fraction:
+    """Order n + m polynomial value at t, rebuilt from orders 0..m.
+
+    Double sum over j <= n and k <= m of binomial and t**j/j! weights,
+    with an inner sum over strict compositions of n into j parts; the
+    weights do not depend on t, so they are built once per (d, n, m, lam)
+    by _split_weights.  Exactly equals evaluating the order-(n+m) polynomial at t.
+    """
+    if n < 0 or m < 0:
+        raise ValueError("orders must be >= 0")
+    t = Fraction(t)
+    lam = Fraction(lam)
+    for e in range(1, n + m + 1):  # a law short of order n + m raises here, before any memo has a key
+        raw_moment(d, e)
+    weights = _split_weights(d, n, m, lam)
+    return sum((prob_hetero_bell_poly(d, k, lam)(t) * w(t) for k, w in enumerate(weights)), Fraction(0))

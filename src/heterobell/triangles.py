@@ -15,6 +15,7 @@ hold their entries as int, the lam families return Fraction.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -122,13 +123,16 @@ def partial_bell(n: int, k: int, xs: Sequence[RationalLike]) -> Fraction:
     m = n - k + 1
     if len(xs) < m:
         raise InsufficientSequence(f"need {m} sequence entries, got {len(xs)}")
-    g = [Fraction(x) / factorial(i) for i, x in enumerate(xs[:m], start=1)]
-    q = math.lcm(*(c.denominator for c in g))
-    a = [c.numerator * (q // c.denominator) for c in g]  # a[s]: coefficient of t**(s+1) in q*G
-    # coefficients of t**j .. t**(j+m-1) in (q*G)**j, from j = 0 up to j = k
-    power = [1] + [0] * (m - 1)
+    # x_i / i! = p_i / d_i, unreduced, and q the lcm of the d_i: no Fraction is built per entry
+    xs = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in xs[:m]]
+    dens = [x.denominator * factorial(i) for i, x in enumerate(xs, start=1)]
+    q = math.lcm(*dens)
+    a = [x.numerator * (q // d) for x, d in zip(xs, dens)]  # a[s]: coefficient of t**(s+1) in q*G
+    # coefficients of t**j .. t**(j+m-1) in (q*G)**j, from j = 0 up to j = k; entry s of the next
+    # power is sum_i power[i] a[s - i], and a_rev[m-1-s:] holds a[s], a[s-1], ..., a[0]
+    power, a_rev = [1] + [0] * (m - 1), a[::-1]
     for _ in range(k):
-        power = [sum(power[i] * a[s - i] for i in range(s + 1)) for s in range(m)]
+        power = [sum(map(operator.mul, power, a_rev[m - 1 - s :])) for s in range(m)]
     return Fraction(factorial(n) * power[m - 1], factorial(k) * q**k)
 
 

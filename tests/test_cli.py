@@ -148,6 +148,13 @@ def test_bad_family_is_usage_error(capsys):
     assert "invalid choice" in err
 
 
+@pytest.mark.parametrize("argv", [("-h",), ("table", "-h"), ("verify", "--help")])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: heterobell")
+
+
 def test_bad_rational_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "table", "hetero", "--nmax", "2", "--lambda", "0.5")
     assert code == 2
@@ -422,6 +429,13 @@ DOBINSKI = ("dobinski", "--dist", "bernoulli:1/2", "--n", "3", "--x", "1")
         (("poly", "prob_hetero_bell", "--n", "2", "--dist", "finite:0:1/2,2:1/3"), "must sum to 1"),
         (DOBINSKI[:2] + ("gauss:1",) + DOBINSKI[3:], "unknown distribution family 'gauss'"),
         (("table", "stirling2", "--nmax", "2", "--dist", "gauss:1"), "unknown distribution family 'gauss'"),
+        # usage errors, which argparse finds, are one line too
+        (("table", "hetero", "--nmax", "3", "--lambda", "1/0"), "argument --lambda: zero denominator: '1/0'"),
+        (("table", "hetero", "--nmax", "3", "--lambda", "0.5"), "argument --lambda: not a rational literal"),
+        (DOBINSKI[:-1] + ("1e3",), "argument --x: not a rational literal: '1e3'"),
+        (("table", "hetero", "--nmax", "3", "--lambda", "7" * 5000), "5000 characters has too many digits"),
+        (("table", "nope"), "argument family: invalid choice: 'nope'"),
+        (("table", "stirling2"), "the following arguments are required: --nmax"),
     ],
     ids=[
         "missing-config", "non-integer-nmax", "no-section-header", "empty-grid",
@@ -429,6 +443,8 @@ DOBINSKI = ("dobinski", "--dist", "bernoulli:1/2", "--n", "3", "--x", "1")
         "empty-lambdas-list", "poisson-rate-0", "poisson-rate-negative", "bernoulli-p-2",
         "bernoulli-p-negative", "config-not-utf8", "dist-poisson-rate-0", "dist-finite-sum",
         "dist-unknown-head", "dist-unread-by-family",
+        "lambda-zero-denominator", "lambda-decimal", "x-exponent", "lambda-5000-digits", "unknown-family",
+        "nmax-missing",
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv, needle):

@@ -459,15 +459,24 @@ def test_clear_caches_empties_every_memo():
             sum_deg_rising_moment(law, 3, 4, lam),
             heterobell.deg_rising_poly(4, lam),
             dobinski_details(law, 3, lam, 2).partial_sum,
+            # the value stream of (law, lam, x) and the order-splitting weights
+            list(heterobell.hetero._direct_values(law, 4, lam, Fraction(3, 2))),
+            heterobell.order_split_rhs(law, 2, 2, Fraction(3, 2), lam),
         )
 
     before = compute()
     caches = _package_lru_caches()
-    # the triangle, moment and partial Bell rows among them
-    assert {"triangles._rows", "distributions._sum_moments", "hetero._bell_memo"} <= {
+    # the triangle, moment and partial Bell rows, the row values and the order-splitting weights among them
+    assert {
+        "triangles._rows",
+        "distributions._sum_moments",
+        "hetero._bell_memo",
+        "hetero._values",
+        "iid._split_weights",
+    } <= {
         name.removeprefix("heterobell.") for name in caches
     }
-    assert len(caches) == 11
+    assert len(caches) == 13
     assert all(cache.cache_info().currsize for cache in caches.values())
     clear_caches()
     assert {name: cache.cache_info().currsize for name, cache in caches.items()} == dict.fromkeys(caches, 0)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,9 @@ from heterobell import (
     hetero_bell_poly,
     hetero_derivative,
     hetero_stirling,
+    iid,
     lah,
+    order_split_rhs,
     parse_distribution,
     prob_hetero_bell_poly,
     prob_hetero_bell_recurrence,
@@ -293,27 +296,84 @@ def test_short_moment_list_leaves_the_rows_unchanged():
     assert prob_hetero_bell_poly(short, 2, lam, Route.PARTIAL_BELL) is two
 
 
-_SHORT_LAW_MEMOS = (hetero._bell_memo, distributions._sum_moments, hetero._row)
+_SHORT_LAW_MEMOS = (
+    hetero._bell_memo, distributions._sum_moments, hetero._row, hetero._values, iid._split_weights
+)
 
 
 @pytest.mark.parametrize(
     "read",
     [lambda d, route=route: prob_hetero_bell_poly(d, 5, 0, route) for route in Route]
-    + [lambda d: sum_raw_moment(d, 3, 4), lambda d: sum_deg_rising_moment(d, 3, 4, 0)],
-    ids=[route.name for route in Route] + ["sum_raw_moment", "sum_deg_rising_moment"],
+    + [lambda d: sum_raw_moment(d, 3, 4), lambda d: sum_deg_rising_moment(d, 3, 4, 0)]
+    + [lambda d: hetero._direct_values(d, 5, Fraction(0), HALF)]
+    # at n = 0 the weights read no moment, so only the door of order_split_rhs stops them
+    + [lambda d: order_split_rhs(d, 1, 2, HALF, 0), lambda d: order_split_rhs(d, 0, 3, HALF, 0)],
+    ids=[route.name for route in Route]
+    + ["sum_raw_moment", "sum_deg_rising_moment", "direct_values", "order_split_rhs", "order_split_rhs-n0"],
 )
 def test_short_moment_list_leaves_no_memo_entry(read):
     clear_caches()
     with pytest.raises(MomentUnavailable, match="^moment of order 2 requested, only 1 supplied$"):
         read(MomentList((1, HALF)))
-    assert [memo.cache_info().currsize for memo in _SHORT_LAW_MEMOS] == [0, 0, 0]
+    assert [memo.cache_info().currsize for memo in _SHORT_LAW_MEMOS] == [0, 0, 0, 0, 0]
 
 
 def test_short_moment_list_table_exits_2_and_leaves_no_memo_entry(capsys):
     clear_caches()
     assert main(["table", "prob_hetero", "--nmax", "5", "--dist", "moments:1,1/2"]) == 2
     assert capsys.readouterr() == ("", "error: moment of order 2 requested, only 1 supplied\n")
-    assert [memo.cache_info().currsize for memo in _SHORT_LAW_MEMOS] == [0, 0, 0]
+    assert [memo.cache_info().currsize for memo in _SHORT_LAW_MEMOS] == [0, 0, 0, 0, 0]
+
+
+@st.composite
+def _laws_with_a_negative_atom(draw):
+    law = draw(_finite_laws())
+    atom = draw(st.fractions(min_value=-3, max_value=Fraction(-1, 4), max_denominator=4))
+    return FiniteSupport(tuple((v, p * Fraction(2, 3)) for v, p in law.pairs) + ((atom, Fraction(1, 3)),))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _laws_with_a_negative_atom(), _rationals, _rationals, st.lists(st.integers(0, 9), min_size=1, max_size=6)
+)
+def test_value_stream_equals_the_rows_at_the_point(d, lam, x, reads):
+    clear_caches()
+    first = hetero._direct_values(d, reads[0], lam, x)
+    for i, n in enumerate(reads, 1):
+        values = hetero._direct_values(d, n, lam, x)
+        assert values is first  # one list per (law, lam, point), grown in place
+        assert len(values) == max(reads[:i]) + 1  # only as far as it was asked
+        assert values == [prob_hetero_bell_poly(d, j, lam)(x) for j in range(len(values))]
+
+
+def test_concurrent_value_readers_see_one_list():
+    clear_caches()
+    # a law, lam and point that no other test reads, so the four threads race to grow its values
+    law = FiniteSupport(((Fraction(-7, 3), Fraction(1, 5)), (Fraction(2), Fraction(4, 5))))
+    lam, x = Fraction(-3, 11), Fraction(5, 4)
+    got = [None] * 4
+    start = threading.Barrier(4)
+
+    def read(i):
+        start.wait()
+        order = range(25) if i % 2 else range(24, -1, -1)
+        got[i] = [hetero._direct_values(law, n, lam, x) for n in order]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    memo = hetero._values(law, lam, x)
+    assert all(lists is not None and all(v is memo for v in lists) for lists in got)
+    # each order appended once: 25 orders, each the value of its own row
+    assert memo == [prob_hetero_bell_poly(law, n, lam)(x) for n in range(25)]
 
 
 _COUNTED_N, _COUNTED_LAM = 12, Fraction(-13, 7)

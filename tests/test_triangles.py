@@ -225,6 +225,24 @@ def test_partial_bell_against_recurrence_oracle():
             assert partial_bell(n, k, xs) == oracles.partial_bell_rec(n, k, xs)
 
 
+@pytest.mark.parametrize(
+    "xs",
+    [
+        [1, 2, 3, 5, 8, 13, 21, 34, 55, 89],
+        [Fraction(1, 2), 3, Fraction(-2, 9), 0, 5, Fraction(7, 4), 1, Fraction(1, 3), 2, Fraction(5, 6)],
+        [-1, Fraction(-3, 2), -4, Fraction(-1, 7), -2, -5, Fraction(-9, 4), -1, -3, Fraction(-2, 3)],
+        # a float entry is read as the rational it holds exactly
+        [0.5, 2, Fraction(1, 3), -0.25, 1, 3, 0.125, 1, 2, Fraction(-3, 5)],
+    ],
+    ids=["int", "int-and-fraction", "negative", "float"],
+)
+def test_partial_bell_entry_types_against_recurrence_oracle(xs):
+    for n in range(11):
+        for k in range(n + 1):
+            value = partial_bell(n, k, xs)
+            assert type(value) is Fraction and value == oracles.partial_bell_rec(n, k, xs), (n, k)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
