@@ -2,15 +2,15 @@
 
 Nothing here ever rounds.  Integer-valued quantities (factorials,
 binomials) are returned as plain ints, which mix freely with Fraction
-arithmetic.  The degenerate rising factorial multiplies integers over the
-common denominator of its arguments and builds one Fraction at the end.
+arithmetic.  The degenerate rising factorial and the dot product multiply integers
+over a common denominator and build one Fraction at the end.
 """
 from __future__ import annotations
 
 import math
 import re
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import ParseError, PartsMismatch
 
@@ -48,6 +48,24 @@ def times(q: Fraction, m: int) -> int:
     if rest:
         raise ValueError(f"{q} * {m} is not an integer")
     return q.numerator * whole
+
+
+def dot(*factors: Iterable[RationalLike]) -> Fraction:
+    """sum_i prod_f factors[f][i], exactly.  The factors must have one length; no terms give 0.
+
+    Each product is an integer over the product of its denominators; the products are
+    summed as integers over the lcm of those, and one Fraction is built from the total.
+    """
+    nums, dens = [], []
+    for terms in zip(*factors, strict=True):
+        num = den = 1
+        for q in terms:
+            num *= q.numerator
+            den *= q.denominator
+        nums.append(num)
+        dens.append(den)
+    common = math.lcm(*dens)
+    return Fraction(sum(num * (common // den) for num, den in zip(nums, dens)), common)
 
 
 def binomial(n: int, k: int) -> int:

@@ -66,8 +66,15 @@ class Distribution:
             return NotImplemented
         return self is other or self._key == other._key
 
+    @cached_property
+    def _spec(self) -> str:
+        return f"{self.head}:{self.format()}"
+
     def _value(self) -> Fraction:
-        return getattr(self, fields(self)[0].name)
+        cls = self.__class__
+        if "_first_field" not in cls.__dict__:  # the name of the first field, read once per class
+            cls._first_field = fields(cls)[0].name
+        return getattr(self, cls._first_field)
 
     def moment(self, n: int) -> Fraction:
         raise NotImplementedError
@@ -346,5 +353,5 @@ def parse_distribution(text: str) -> Distribution:
 
 
 def format_distribution(d: Distribution) -> str:
-    """Inverse of parse_distribution."""
-    return f"{d.head}:{d.format()}"
+    """Inverse of parse_distribution; the spec is built once per law."""
+    return d._spec

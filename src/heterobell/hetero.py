@@ -124,15 +124,21 @@ def _bell_memo(d: Distribution, lam: Fraction) -> tuple[Iterator[None], list[tup
         us = [next(moments)]
         for m in itertools.count(1):
             us.append(next(moments))
-            row = [0] * (m + 1)
-            for i in range(1, m + 1):
-                weight = binomial(m - 1, i - 1) * us[i]
-                for k, v in enumerate(rows[m - i]):
-                    row[k + 1] += weight * v
-            rows.append(tuple(row))
+            rows.append(_bell_step(rows, [binomial(m - 1, i - 1) * us[i] for i in range(1, m + 1)]))
             yield
 
     return stream(), rows
+
+
+def _bell_step(rows: list[tuple[int, ...]], weights: list[int]) -> tuple[int, ...]:
+    """Row m = len(rows) of a top-element recurrence on whole rows: the sum over i = 1..m of
+    weights[i-1] times row m-i shifted up by one power of t."""
+    m = len(rows)
+    row = [0] * (m + 1)
+    for i, weight in enumerate(weights, 1):
+        for k, v in enumerate(rows[m - i]):
+            row[k + 1] += weight * v
+    return tuple(row)
 
 
 def _bell_rows(d: Distribution, n: int, lam: Fraction) -> list[tuple[int, ...]]:
@@ -148,13 +154,26 @@ def _bell_rows(d: Distribution, n: int, lam: Fraction) -> list[tuple[int, ...]]:
 _VALUES_LOCK = threading.Lock()
 
 
+class _Values(list):
+    """P_0(x), P_1(x), ..., the DIRECT rows of one (law, lam) evaluated at x, and in `bells[s]` the
+    partial Bell rows of u_i = i**s P_{i-s}(x): u_i = P_i(x) for s = 0 and i P_{i-1}(x) for s = 1.
+
+    `bells[s]` holds two lists of rows m = 0, 1, ...: the integers m! c**m B_{m,k}(u), k = 0..m,
+    and the B_{m,k}(u) themselves, for c = b*sigma*q at lam = a/b and x = p/q.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.bells = tuple(([(1,)], [(Fraction(1),)]) for _ in range(2))
+
+
 @lru_cache(maxsize=None)
-def _values(d: Distribution, lam: Fraction, x: Fraction) -> list[Fraction]:
-    """The memo of (d, lam, x): the DIRECT rows 0, 1, ... evaluated at x, grown only by _direct_values."""
-    return []
+def _values(d: Distribution, lam: Fraction, x: Fraction) -> _Values:
+    """The memo of (d, lam, x), grown only by _direct_values and _value_bell_row."""
+    return _Values()
 
 
-def _direct_values(d: Distribution, n: int, lam: Fraction, x: Fraction) -> list[Fraction]:
+def _direct_values(d: Distribution, n: int, lam: Fraction, x: Fraction) -> _Values:
     """Values at x of the DIRECT rows 0..n, at least, of (d, lam): each row is evaluated once per point.
 
     The list is the memo's own, so a caller reads it and never changes it.
@@ -167,6 +186,29 @@ def _direct_values(d: Distribution, n: int, lam: Fraction, x: Fraction) -> list[
         while len(values) <= n:
             values.append(_row(d, len(values), lam, Route.DIRECT)(x))
     return values
+
+
+def _value_bell_row(d: Distribution, n: int, lam: Fraction, x: Fraction, s: int) -> tuple[Fraction, ...]:
+    """B_{n,k}(u) for k = 0..n, with u_i = P_i(x) (s = 0) or u_i = i P_{i-1}(x) (s = 1) read from the
+    value stream of (d, lam, x); the rows grow once per (law, lam, x), in the memo of the values.
+
+    Rows grow by the top-element recurrence B_{m,k} = sum_i C(m-1, i-1) u_i B_{m-i,k-1} (Comtet 1974,
+    3.3), in integers: with c**i u_i = w_i, homogeneity gives c**m B_{m,k}(u) = B_{m,k}(w), and
+    R_{m,k} = m! B_{m,k}(w) = sum_i C(m-1, i-1) C(m, i) W_i R_{m-i,k-1} for W_i = i! w_i.  Each W_i is
+    an integer: row i of DIRECT has entries over k! (b*sigma)**i, so i! (b*sigma*q)**i P_i(x) is one.
+    """
+    values = _direct_values(d, max(n - s, 0), lam, x)  # u_1..u_n, through the door of the values
+    with _VALUES_LOCK:
+        scaled, rows = values.bells[s]
+        while len(rows) <= n:
+            m, c = len(rows), lam.denominator * d.scale() * x.denominator
+            # W_i for u_i = i**s P_{i-s}(x)
+            big_ws = [i**s * times(values[i - s], factorial(i) * c**i) for i in range(1, m + 1)]
+            weights = [binomial(m - 1, i - 1) * binomial(m, i) * w for i, w in enumerate(big_ws, 1)]
+            scaled.append(_bell_step(scaled, weights))
+            den = factorial(m) * c**m
+            rows.append(tuple(Fraction(v, den) for v in scaled[m]))
+    return rows[n]
 
 
 def prob_hetero_stirling(

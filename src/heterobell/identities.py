@@ -13,10 +13,11 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from typing import Callable, Iterable
 
-from .arith import binomial, deg_rising_factorial, factorial, format_rational, parse_rational
+from .arith import binomial, deg_rising_factorial, dot, factorial, format_rational, parse_rational
 from .distributions import (
     Bernoulli,
     Poisson,
@@ -28,16 +29,16 @@ from .errors import ParseError, UnknownIdentity
 from .hetero import (
     Route,
     _direct_values,
+    _value_bell_row,
     hetero_bell_poly,
-    hetero_stirling,
     prob_hetero_bell_poly,
     prob_hetero_stirling,
     prob_lah,
     prob_stirling2,
 )
 from .iid import order_split_rhs
-from .polynomial import Polynomial, deg_rising_poly
-from .triangles import bell_poly, deg_stirling1, partial_bell, stirling2
+from .polynomial import Polynomial
+from .triangles import partial_bell, stirling1u, stirling2, triangle_row
 
 
 @dataclass
@@ -86,31 +87,58 @@ _SPLIT_NOTE = (
 
 
 def _lah_through_lambdas(dist, n: int, k: int, lambdas: tuple[Fraction, ...]) -> list[Fraction]:
+    # entry l of row n of the (1, -lam) triangle is deg_stirling1(n, l, lam)
     return [
-        sum(prob_hetero_stirling(dist, l, k, lam) * deg_stirling1(n, l, lam) for l in range(k, n + 1))
+        dot([prob_hetero_stirling(dist, l, k, lam) for l in range(k, n + 1)], triangle_row(1, -lam, n)[k:])
         for lam in lambdas
     ]
 
 
 # T2.10 to T2.13 read the DIRECT rows at a few points each, through hetero._direct_values,
-# which evaluates each row once per (law, lam, point)
+# which evaluates each row once per (law, lam, point), and partial Bell rows of those values
 def _addition_rhs(dist, n: int, lam: Fraction, x: Fraction, y: Fraction) -> Fraction:
     at_x, at_y = _direct_values(dist, n, lam, x), _direct_values(dist, n, lam, y)
-    return sum((binomial(n, k) * at_x[k] * at_y[n - k] for k in range(n + 1)), Fraction(0))
+    return dot([binomial(n, k) for k in range(n + 1)], at_x[: n + 1], at_y[n::-1])
 
 
 def _numbers_rhs(dist, n: int, lam: Fraction) -> Polynomial:
     numbers = _direct_values(dist, n, lam, Fraction(1))
     bells = [partial_bell(n, k, numbers[1 : n - k + 2]) for k in range(n + 1)]
-    # the falling factorial x(x-1)...(x-k+1) is the degenerate rising one at lam = -1
-    return sum((b * deg_rising_poly(k, Fraction(-1)) for k, b in enumerate(bells)), Polynomial.zero())
+    # the falling factorial x(x-1)...(x-k+1) has coefficients (-1)**(k-j) stirling1u(k, j)
+    return Polynomial(
+        dot(bells[j:], [(-1) ** (k - j) * stirling1u(k, j) for k in range(j, n + 1)]) for j in range(n + 1)
+    )
 
 
 def _hetero_explicit(n: int, k: int, lam: Fraction) -> Fraction:
     # the paper's explicit formula, (1/k!) sum_j (-1)**(k-j) C(k, j) <j>_{n,lam};
     # the library reads the same numbers from a row recurrence instead
-    terms = ((-1) ** (k - j) * binomial(k, j) * deg_rising_factorial(j, n, lam) for j in range(k + 1))
-    return sum(terms, Fraction(0)) / factorial(k)
+    signed = [(-1) ** (k - j) * binomial(k, j) for j in range(k + 1)]
+    return dot(signed, [deg_rising_factorial(j, n, lam) for j in range(k + 1)]) / factorial(k)
+
+
+def _stirling2_rhs(dist, n: int, k: int, lam: Fraction, x: Fraction) -> Fraction:
+    # sum_j stirling2(j, k) c_j x**j over the coefficients c_j of the order-n row, at x = p/q
+    # in integers over q**n
+    coeffs, p, q = prob_hetero_bell_poly(dist, n, lam).coeffs, x.numerator, x.denominator
+    weights = [stirling2(j, k) * p**j * q ** (n - j) for j in range(k, len(coeffs))]
+    return dot(weights, coeffs[k:]) / q**n
+
+
+def _poisson_rhs(alpha, n: int, lam: Fraction) -> Polynomial:
+    # sum_k S_lam(n, k) alpha**k bell_poly(k): coefficient j is sum_k S_lam(n, k) alpha**k stirling2(k, j)
+    row, a = triangle_row(lam, 1, n), alpha.alpha
+    powers = [a**k for k in range(n + 1)]
+    return Polynomial(
+        dot(row[j:], powers[j:], [stirling2(k, j) for k in range(j, n + 1)]) for j in range(n + 1)
+    )
+
+
+def _bernoulli_rhs(p, k: int, n: int, lam: Fraction) -> Fraction:
+    # sum_j C(k, j) j! S_lam(n, j) p**j, at p = a/b in integers over b**n
+    a, b = p.p.numerator, p.p.denominator
+    weights = [binomial(k, j) * factorial(j) * a**j * b ** (n - j) for j in range(n + 1)]
+    return dot(triangle_row(lam, 1, n), weights) / b**n
 
 
 # LIMITS: rows at lam = 0 and 1, entry by entry (k outermost) and then whole
@@ -178,10 +206,16 @@ def _config_int(sec: dict, key: str) -> int:
         raise ParseError(f"{key} = {sec[key]!r} is not an integer") from None
 
 
+@lru_cache(maxsize=512)
+def _literal(name: str, text: str):
+    """The grid literal text read as the parameter name is, once: every grid that lists it, in
+    every call, gets the one object, which the memos of the routes already hold as a key."""
+    return _PARAMS[name][0](text)
+
+
 def _listed(name: str, key: str) -> tuple:
     """Axis name over the ';'-separated entries of config key, each read as name is."""
-    read = _PARAMS[name][0]
-    return name, lambda sec, pt: [read(s.strip()) for s in sec[key].split(";") if s.strip()]
+    return name, lambda sec, pt: [_literal(name, s.strip()) for s in sec[key].split(";") if s.strip()]
 
 
 def _count(key: str, low: int = 0):
@@ -257,20 +291,17 @@ _IDENTITIES: dict[str, _Identity] = {
         (_DIST, _LAM, _N, _X, _listed("y", "ys")),
     ),
     "T2.11": _Identity(("dist", "n", "lam"), prob_hetero_bell_poly, _numbers_rhs, (_DIST, _LAM, _N)),
+    # B_{n,k} at u_i = i P_{i-1}(x) and at u_i = P_i(x), from the partial Bell rows of the values
     "T2.12": _Identity(
         ("dist", "n", "k", "lam", "x"),
         lambda dist, n, k, lam, x: binomial(n, k) * _direct_values(dist, n - k, lam, k * x)[n - k],
-        lambda dist, n, k, lam, x: partial_bell(
-            n, k, [m * v for m, v in enumerate(_direct_values(dist, n - k, lam, x)[: n - k + 1], 1)]
-        ),
+        lambda dist, n, k, lam, x: _value_bell_row(dist, n, lam, x, 1)[k],
         (_DIST, _LAM, _X, _N, _K_UPTO_N),
     ),
     "T2.13": _Identity(
         ("dist", "n", "k", "lam", "x"),
-        lambda dist, n, k, lam, x: partial_bell(n, k, _direct_values(dist, n - k + 1, lam, x)[1 : n - k + 2]),
-        lambda dist, n, k, lam, x: Polynomial(
-            stirling2(j, k) * c for j, c in enumerate(prob_hetero_bell_poly(dist, n, lam))
-        )(x),
+        lambda dist, n, k, lam, x: _value_bell_row(dist, n, lam, x, 0)[k],
+        _stirling2_rhs,
         (_DIST, _LAM, _X, _N, _K_UPTO_N),
     ),
     # T2.16 to T2.20 take the law itself as alpha or p, read by _PARAMS, which prints its parameter
@@ -283,10 +314,7 @@ _IDENTITIES: dict[str, _Identity] = {
     "T2.17": _Identity(
         ("alpha", "n", "lam"),
         prob_hetero_bell_poly,
-        lambda alpha, n, lam: sum(
-            (hetero_stirling(n, k, lam) * alpha.alpha**k * bell_poly(k) for k in range(n + 1)),
-            Polynomial.zero(),
-        ),
+        _poisson_rhs,
         (_ALPHA, _LAM, _N),
     ),
     "T2.18": _Identity(
@@ -298,17 +326,15 @@ _IDENTITIES: dict[str, _Identity] = {
     "L2.19": _Identity(
         ("n", "k", "lam"),
         lambda n, k, lam: sum(deg_rising_factorial(j, n, lam) for j in range(1, k + 1)),
-        lambda n, k, lam: sum(
-            hetero_stirling(n, l, lam) * factorial(l) * binomial(k + 1, l + 1) for l in range(1, n + 1)
+        lambda n, k, lam: dot(
+            triangle_row(lam, 1, n)[1:], [factorial(l) * binomial(k + 1, l + 1) for l in range(1, n + 1)]
         ),
         (_LAM, ("n", _count("nmax", 1)), ("k", _count("kmax", 1))),
     ),
     "T2.20": _Identity(
         ("p", "k", "n", "lam"),
         sum_deg_rising_moment,
-        lambda p, k, n, lam: Polynomial(
-            binomial(k, j) * factorial(j) * hetero_stirling(n, j, lam) for j in range(n + 1)
-        )(p.p),
+        _bernoulli_rhs,
         (_P, _LAM, _K, _N),
     ),
     "LIMITS": _Identity(("dist", "n"), _limits_left, _limits_right, (_DIST, _N)),
@@ -332,7 +358,11 @@ def verify_identity(tag: str, **params) -> IdentityReport:
             f"identity {tag} takes the parameters {', '.join(identity.params)}, "
             f"not {', '.join(params) or 'none'}"
         )
-    typed = [_PARAMS[key][0](params[key]) for key in identity.params]
+    return _check(tag, identity, [_PARAMS[key][0](params[key]) for key in identity.params])
+
+
+def _check(tag: str, identity: _Identity, typed: list) -> IdentityReport:
+    """The report of one point, its parameters typed and in the tag's order."""
     left, right = identity.left(*typed), identity.right(*typed)
     passed = all(r == left for r in right) if identity.each else left == right
     return IdentityReport(
@@ -411,7 +441,9 @@ def run_identity(tag: str, cfg: GridConfig | None = None) -> list[IdentityReport
     """Verify one identity over its whole configured grid."""
     if cfg is None:
         cfg = load_grid_config()
-    return [verify_identity(tag, **point) for point in identity_grid(tag, cfg)]
+    identity = _lookup(tag)
+    # a grid point is typed already, its keys in the tag's order
+    return [_check(tag, identity, list(point.values())) for point in identity_grid(tag, cfg)]
 
 
 def run_identities(

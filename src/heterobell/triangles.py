@@ -63,7 +63,9 @@ def _entry(a: int, b: int, q: int, n: int, k: int) -> int:
 
 def _weights(a: RationalLike, b: RationalLike) -> tuple[int, int, int]:
     """(q*a, q*b, q), with q the least common denominator of the weights a and b."""
-    a, b = Fraction(a), Fraction(b)
+    # an int or a Fraction is read as it is; other numbers go through Fraction
+    a = a if type(a) is int or type(a) is Fraction else Fraction(a)
+    b = b if type(b) is int or type(b) is Fraction else Fraction(b)
     q = math.lcm(a.denominator, b.denominator)
     return times(a, q), times(b, q), q
 

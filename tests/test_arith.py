@@ -15,7 +15,7 @@ from heterobell import (
     multinomial,
     parse_rational,
 )
-from heterobell.arith import times
+from heterobell.arith import dot, times
 
 from .oracles import rising
 
@@ -96,3 +96,37 @@ def test_deg_rising_factorial_limits():
     assert deg_rising_factorial(Fraction(3), 4, Fraction(0)) == 3**4
     assert deg_rising_factorial(Fraction(3), 4, Fraction(1)) == 3 * 4 * 5 * 6
 
+
+
+# ints, signed Fractions and Fractions over large denominators
+_dot_entries = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**25)),
+)
+
+
+def _dot_terms(width: int):
+    return st.lists(st.lists(_dot_entries, min_size=width, max_size=width), max_size=12)
+
+
+@given(st.integers(1, 3).flatmap(_dot_terms))
+def test_dot_equals_the_sum_of_fraction_products(terms):
+    # terms[i] holds entry i of every factor
+    factors = [list(column) for column in zip(*terms)] or [[]]
+    want = sum((math.prod(map(Fraction, term)) for term in terms), Fraction(0))
+    got = dot(*factors)
+    assert type(got) is Fraction and got == want
+
+
+def test_dot_of_nothing_is_zero():
+    assert dot() == dot([]) == dot([], [], []) == 0
+    assert type(dot()) is Fraction
+
+
+@pytest.mark.parametrize(
+    "factors", [([1, 2], [3]), ([1], [1, 2]), ([], [Fraction(1, 2)]), ([1, 2], [3, 4], [5])]
+)
+def test_dot_of_factors_of_different_lengths_raises(factors):
+    with pytest.raises(ValueError):
+        dot(*factors)

@@ -34,6 +34,7 @@ from heterobell import (
     sum_raw_moment,
 )
 from heterobell.distributions import _LAWS
+from heterobell.identities import identity_grid, load_grid_config
 
 from . import oracles
 from .oracles import BERN_THIRD, FS_ZERO_TWO
@@ -443,6 +444,20 @@ def _package_lru_caches():
     return caches
 
 
+def test_warm_spec_and_scale_read_no_dataclass_fields(monkeypatch):
+    laws = [parse_distribution(spec) for spec in ("bernoulli:1/3", "poisson:5/4", "const:-2/7")]
+    specs = [format_distribution(d) for d in laws]
+    scales = [d.scale() for d in laws]
+    calls = []
+    fields = heterobell.distributions.fields
+    monkeypatch.setattr(heterobell.distributions, "fields", lambda obj: calls.append(obj) or fields(obj))
+    assert [format_distribution(d) for d in laws] == specs == ["bernoulli:1/3", "poisson:5/4", "const:-2/7"]
+    assert [d.scale() for d in laws] == scales == [3, 4, 7]
+    # a second instance of a law already read needs none either
+    assert parse_distribution("bernoulli:1/3").scale() == 3
+    assert calls == []
+
+
 def test_clear_caches_empties_every_memo():
     lam = Fraction(-5, 7)
     law = parse_distribution("finite:-1/2:1/3,3/2:2/3")
@@ -462,21 +477,25 @@ def test_clear_caches_empties_every_memo():
             # the value stream of (law, lam, x) and the order-splitting weights
             list(heterobell.hetero._direct_values(law, 4, lam, Fraction(3, 2))),
             heterobell.order_split_rhs(law, 2, 2, Fraction(3, 2), lam),
+            # the grid literals
+            identity_grid("LIMITS", load_grid_config()),
         )
 
     before = compute()
     caches = _package_lru_caches()
-    # the triangle, moment and partial Bell rows, the row values and the order-splitting weights among them
+    # the triangle, moment and partial Bell rows, the row values, the order-splitting weights and the
+    # grid literals among them
     assert {
         "triangles._rows",
         "distributions._sum_moments",
         "hetero._bell_memo",
         "hetero._values",
         "iid._split_weights",
+        "identities._literal",
     } <= {
         name.removeprefix("heterobell.") for name in caches
     }
-    assert len(caches) == 13
+    assert len(caches) == 14
     assert all(cache.cache_info().currsize for cache in caches.values())
     clear_caches()
     assert {name: cache.cache_info().currsize for name, cache in caches.items()} == dict.fromkeys(caches, 0)

@@ -50,6 +50,7 @@ from heterobell import (
 )
 
 from heterobell.cli import main
+from heterobell.identities import identity_grid, load_grid_config
 
 from . import oracles
 from .oracles import BERN_HALF, BERN_THIRD, CONST_ONE, FS_ZERO_TWO, POISSON_ONE, TRIO
@@ -306,10 +307,13 @@ _SHORT_LAW_MEMOS = (
     [lambda d, route=route: prob_hetero_bell_poly(d, 5, 0, route) for route in Route]
     + [lambda d: sum_raw_moment(d, 3, 4), lambda d: sum_deg_rising_moment(d, 3, 4, 0)]
     + [lambda d: hetero._direct_values(d, 5, Fraction(0), HALF)]
+    # the partial Bell rows of the values, of u_i = P_i(x) and of u_i = i P_{i-1}(x)
+    + [lambda d, s=s: hetero._value_bell_row(d, 5, Fraction(0), HALF, s) for s in (0, 1)]
     # at n = 0 the weights read no moment, so only the door of order_split_rhs stops them
     + [lambda d: order_split_rhs(d, 1, 2, HALF, 0), lambda d: order_split_rhs(d, 0, 3, HALF, 0)],
     ids=[route.name for route in Route]
-    + ["sum_raw_moment", "sum_deg_rising_moment", "direct_values", "order_split_rhs", "order_split_rhs-n0"],
+    + ["sum_raw_moment", "sum_deg_rising_moment", "direct_values", "value_bell_row-0", "value_bell_row-1"]
+    + ["order_split_rhs", "order_split_rhs-n0"],
 )
 def test_short_moment_list_leaves_no_memo_entry(read):
     clear_caches()
@@ -344,6 +348,37 @@ def test_value_stream_equals_the_rows_at_the_point(d, lam, x, reads):
         assert values is first  # one list per (law, lam, point), grown in place
         assert len(values) == max(reads[:i]) + 1  # only as far as it was asked
         assert values == [prob_hetero_bell_poly(d, j, lam)(x) for j in range(len(values))]
+
+
+def _bell_sequence(values: list, n: int, s: int) -> list:
+    """u_1..u_n of the value Bell rows: P_i(x) for s = 0, i P_{i-1}(x) for s = 1."""
+    return [i**s * values[i - s] for i in range(1, n + 1)]
+
+
+def _assert_value_bell_rows_are_partial_bell(d, n_max, lam, x):
+    for s in (0, 1):
+        for n in range(n_max + 1):
+            row = hetero._value_bell_row(d, n, lam, x, s)
+            us = _bell_sequence(hetero._direct_values(d, n, lam, x), n, s)
+            assert row == tuple(triangles.partial_bell(n, k, us[: n - k + 1]) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("tag", ["T2.12", "T2.13"])
+def test_value_bell_rows_equal_partial_bell_on_the_shipped_grid(tag):
+    clear_caches()
+    points = identity_grid(tag, load_grid_config())
+    n_max = max(pt["n"] for pt in points)
+    for d, lam, x in dict.fromkeys((pt["dist"], pt["lam"], pt["x"]) for pt in points):
+        _assert_value_bell_rows_are_partial_bell(d, n_max, lam, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_laws_with_a_negative_atom(), _rationals, _rationals, st.integers(0, 7))
+def test_value_bell_rows_equal_partial_bell_on_random_laws(d, lam, x, n):
+    clear_caches()
+    _assert_value_bell_rows_are_partial_bell(d, n, lam, x)
+    # the rows live in the memo of the values, one per (law, lam, point)
+    assert hetero._values.cache_info().currsize == 1
 
 
 def test_concurrent_value_readers_see_one_list():

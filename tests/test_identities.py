@@ -148,8 +148,9 @@ def test_a_wrong_side_fails_the_report_and_only_t2_8_notes_it(tag, monkeypatch):
 
 
 def test_lambda_free_identity_fails_when_one_lambda_differs(monkeypatch):
-    weights = identities.deg_stirling1
-    monkeypatch.setattr(identities, "deg_stirling1", lambda n, l, lam: weights(n, l, lam) + (lam == 2))
+    # the (1, -lam) row, whose entries are deg_stirling1(n, l, lam), off by one at lam = 2 only
+    row = identities.triangle_row
+    monkeypatch.setattr(identities, "triangle_row", lambda a, b, n: [v + (b == -2) for v in row(a, b, n)])
     r = verify_identity("T2.4", dist=FS_ZERO_TWO, n=4, k=2, lambdas=["0", "1/3", "1", "2"])
     assert not r.passed
     assert r.right[:3] == r.left * 3
@@ -174,6 +175,29 @@ def test_default_grid_loads_and_is_deterministic():
         pts = identity_grid(tag, cfg)
         assert pts, tag
         assert pts == identity_grid(tag, cfg)
+
+
+def test_grids_hand_out_one_object_per_literal():
+    # two loads of the config, so no parsed value is shared through the config itself
+    for tag in IDENTITY_TAGS:
+        first, second = identity_grid(tag, load_grid_config()), identity_grid(tag, load_grid_config())
+        assert first == second
+        for a, b in zip(first, second):
+            for key in a.keys() & {"dist", "lam", "x", "y", "t", "alpha", "p"}:
+                assert a[key] is b[key], (tag, key)
+            if "lambdas" in a:
+                assert all(u is v for u, v in zip(a["lambdas"], b["lambdas"]))
+    # one literal is one object across tags too
+    ones = [pt["lam"] for tag in ("T2.2", "T2.9", "T2.12") for pt in identity_grid(tag, load_grid_config())]
+    assert len({id(lam) for lam in ones if lam == 1}) == 1
+
+
+def test_literal_memo_is_bounded_and_cleared():
+    assert identities._literal.cache_info().maxsize == 512
+    identity_grid("T2.10", load_grid_config())
+    assert identities._literal.cache_info().currsize > 0
+    clear_caches()
+    assert identities._literal.cache_info().currsize == 0
 
 
 def test_grid_points_carry_expected_keys():

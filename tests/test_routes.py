@@ -93,6 +93,8 @@ def _names(*names: str) -> frozenset[str]:
 
 
 _PARTIAL_BELL = _names("hetero._bell_rows")
+# the two readers of B_{n,k} at the values of the rows: one at a time, or from the partial Bell rows
+_VALUE_BELL = _names("triangles.partial_bell", "hetero._value_bell_row")
 _SUM_MOMENTS = _names("distributions._sum_moment_rows")
 # a closed form of the triangles alone reads no law
 _NO_LAW = _names("distributions._sum_moment_rows", _LAW)
@@ -106,7 +108,7 @@ SIDES: dict[str, Sides] = {
     "T2.3": Sides(_PARTIAL_BELL | _names("triangles.stirling1u"), _PARTIAL_BELL),
     # at lam = 1 the (1, -lam) weights are the identity, so that entry reads prob_lah's own row
     "T2.4": Sides(
-        _PARTIAL_BELL | _names("triangles.deg_stirling1"),
+        _PARTIAL_BELL | _names("triangles.deg_stirling1", "triangles.triangle_row"),
         _PARTIAL_BELL,
         meets=lambda pt: pt["lambdas"] == (1,),
         entries="lambdas",
@@ -116,8 +118,9 @@ SIDES: dict[str, Sides] = {
     "T2.9": Sides(_PARTIAL_BELL, _SUM_MOMENTS),
     "T2.10": Sides(_PARTIAL_BELL, _PARTIAL_BELL, one_route=True),
     "T2.11": Sides(_PARTIAL_BELL | _names("triangles.partial_bell"), _PARTIAL_BELL, one_route=True),
-    "T2.12": Sides(_PARTIAL_BELL | _names("triangles.partial_bell"), _PARTIAL_BELL, one_route=True),
-    "T2.13": Sides(_PARTIAL_BELL, _PARTIAL_BELL | _names("triangles.partial_bell"), one_route=True),
+    # B_{n,k} of the values is read on one side only
+    "T2.12": Sides(_PARTIAL_BELL | _VALUE_BELL, _PARTIAL_BELL, one_route=True),
+    "T2.13": Sides(_PARTIAL_BELL, _PARTIAL_BELL | _VALUE_BELL, one_route=True),
     "T2.16": Sides(_TRIANGLE, _NO_LAW),
     "T2.17": Sides(_TRIANGLE | _names("triangles.bell_poly"), _NO_LAW),
     "T2.18": Sides(_TRIANGLE, _NO_LAW),
