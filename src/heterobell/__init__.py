@@ -64,10 +64,11 @@ from .identities import (
     verify_identity,
 )
 from .iid import compositions, order_split_rhs
-from .polynomial import Polynomial, deg_rising_poly
+from .polynomial import Polynomial
 from .triangles import (
     bell_poly,
     complete_bell,
+    deg_rising_poly,
     deg_stirling1,
     lah,
     lah_bell_poly,

@@ -33,14 +33,14 @@ from .errors import (
     UnsupportedDistribution,
 )
 from .polynomial import Polynomial
-from .triangles import stirling1u, triangle_entry, triangle_row
+from .triangles import triangle_entry, triangle_row
 
 
 class Route(enum.Enum):
     """Independent computation routes for the probabilistic numbers."""
 
     DIRECT = "direct"  # forward differences of the partial-sum moments
-    STIRLING_TRANSFORM = "stirling-transform"  # prob Stirling2 against deg Stirling1 weights
+    STIRLING_TRANSFORM = "stirling-transform"  # prob Stirling2 against the coefficients of <x>_{n,lam}
     PARTIAL_BELL = "partial-bell"  # partial Bell polynomial of single-copy moments
 
 
@@ -93,13 +93,15 @@ def _row(d: Distribution, n: int, lam: Fraction, route: Route) -> Polynomial:
             column = list(map(operator.sub, column[1:], column))
         return Polynomial(Fraction(v, factorial(k) * scale) for k, v in enumerate(diffs))
     if route is Route.STIRLING_TRANSFORM:
-        # sum_l prob_stirling2 (DIRECT at lam = 0; an integer over k! sigma**l) stirling1u lam**(n-l)
-        a, b, sigma = lam.numerator, lam.denominator, d.scale()
-        weights = [stirling1u(n, l) * a ** (n - l) * b**l for l in range(n + 1)]
+        # sum_l H_0(l, k) stirling1u(n, l) lam**(n-l): the DIRECT rows H_0(l, .) at lam = 0, entry k an
+        # integer over k! sigma**l, weighed by the coefficients of <x>_{n,lam}, read as one stirling1u row
+        a, b, sigma, zero = lam.numerator, lam.denominator, d.scale(), Fraction(0)
+        weights = [s * a ** (n - l) * b**l for l, s in enumerate(triangle_row(1, 0, n))]
+        rows = [_row(d, l, zero, Route.DIRECT).coeffs for l in range(n + 1)]
         entries = []
         for k in range(n + 1):
             den = factorial(k) * sigma**n
-            total = sum(times(prob_stirling2(d, l, k), den) * weights[l] for l in range(k, n + 1))
+            total = sum(times(row[k], den) * weights[l] for l, row in enumerate(rows) if k < len(row))
             entries.append(Fraction(total, den * b**n))
         return Polynomial(entries)
     # PARTIAL_BELL: B_{n,k} of the single-copy moments E<Y>_{m,lam}, m = 1..n, in integers over c**n

@@ -38,7 +38,7 @@ from .hetero import (
 )
 from .iid import order_split_rhs
 from .polynomial import Polynomial
-from .triangles import partial_bell, stirling1u, stirling2, triangle_row
+from .triangles import stirling2, triangle_row
 
 
 @dataclass
@@ -102,11 +102,11 @@ def _addition_rhs(dist, n: int, lam: Fraction, x: Fraction, y: Fraction) -> Frac
 
 
 def _numbers_rhs(dist, n: int, lam: Fraction) -> Polynomial:
-    numbers = _direct_values(dist, n, lam, Fraction(1))
-    bells = [partial_bell(n, k, numbers[1 : n - k + 2]) for k in range(n + 1)]
+    bells = _value_bell_row(dist, n, lam, Fraction(1), 0)  # B_{n,k} of the numbers P_i(1)
     # the falling factorial x(x-1)...(x-k+1) has coefficients (-1)**(k-j) stirling1u(k, j)
+    falling = [triangle_row(1, 0, k) for k in range(n + 1)]
     return Polynomial(
-        dot(bells[j:], [(-1) ** (k - j) * stirling1u(k, j) for k in range(j, n + 1)]) for j in range(n + 1)
+        dot(bells[j:], [(-1) ** (k - j) * falling[k][j] for k in range(j, n + 1)]) for j in range(n + 1)
     )
 
 
@@ -128,9 +128,9 @@ def _stirling2_rhs(dist, n: int, k: int, lam: Fraction, x: Fraction) -> Fraction
 def _poisson_rhs(alpha, n: int, lam: Fraction) -> Polynomial:
     # sum_k S_lam(n, k) alpha**k bell_poly(k): coefficient j is sum_k S_lam(n, k) alpha**k stirling2(k, j)
     row, a = triangle_row(lam, 1, n), alpha.alpha
-    powers = [a**k for k in range(n + 1)]
+    powers, stirling2_rows = [a**k for k in range(n + 1)], [triangle_row(0, 1, k) for k in range(n + 1)]
     return Polynomial(
-        dot(row[j:], powers[j:], [stirling2(k, j) for k in range(j, n + 1)]) for j in range(n + 1)
+        dot(row[j:], powers[j:], [stirling2_rows[k][j] for k in range(j, n + 1)]) for j in range(n + 1)
     )
 
 

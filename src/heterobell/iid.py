@@ -16,7 +16,8 @@ from typing import Iterator
 from .arith import RationalLike, binomial, factorial, multinomial
 from .distributions import Distribution, raw_moment
 from .hetero import prob_hetero_bell_poly
-from .polynomial import Polynomial, deg_rising_poly
+from .polynomial import Polynomial
+from .triangles import deg_rising_poly
 
 
 def _moment_series(d: Distribution, part: int, m: int, lam: Fraction) -> Polynomial:

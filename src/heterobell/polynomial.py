@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .arith import RationalLike
@@ -133,17 +132,3 @@ class Polynomial:
         a = Fraction(a)
         return Polynomial(c * a**i for i, c in enumerate(self._coeffs))
 
-
-@lru_cache(maxsize=None)
-def deg_rising_poly(n: int, lam: Fraction) -> Polynomial:
-    """The degenerate rising factorial of x as a polynomial in x.
-
-    Expands x(x + lam)(x + 2*lam)...(x + (n-1)*lam); n = 0 gives 1.
-    """
-    if n < 0:
-        raise ValueError("deg_rising_poly needs n >= 0")
-    lam = Fraction(lam)
-    out = Polynomial((1,))
-    for i in range(n):
-        out = out * Polynomial((i * lam, 1))
-    return out

@@ -152,6 +152,16 @@ def bell_poly(n: int) -> Polynomial:
     return Polynomial(_row(0, 1, 1, n))
 
 
+@lru_cache(maxsize=None)
+def deg_rising_poly(n: int, lam: Fraction) -> Polynomial:
+    """The degenerate rising factorial <x>_{n,lam} = x(x + lam)(x + 2*lam)...(x + (n-1)*lam) as a
+    polynomial in x: coefficient l is stirling1u(n, l) lam**(n-l), read from the stirling1u row."""
+    if n < 0:
+        raise ValueError("deg_rising_poly needs n >= 0")
+    lam = Fraction(lam)
+    return Polynomial(s * lam ** (n - l) for l, s in enumerate(_row(1, 0, 1, n)))
+
+
 def lah_bell_poly(n: int) -> Polynomial:
     """Lah-Bell polynomial: coefficients are the Lah row."""
     return Polynomial(_row(1, 1, 1, n))

@@ -33,6 +33,7 @@ from heterobell import (
     hetero_bell_poly,
     hetero_derivative,
     hetero_stirling,
+    identities,
     iid,
     lah,
     order_split_rhs,
@@ -473,16 +474,32 @@ def test_stirling_transform_row_is_integer_until_its_entries(monkeypatch):
     n, lam = _COUNTED_N, _COUNTED_LAM
     for d in _COUNTED_LAWS:
         _warm_raw_moments(d, n)
-        # the lam = 0 entries the route reads, each a Fraction of the DIRECT row
+        # the lam = 0 DIRECT rows the route weighs whole, their entries Fractions already
         for l in range(n + 1):
-            for k in range(l + 1):
-                prob_stirling2(d, l, k)
+            prob_hetero_bell_poly(d, l, 0, Route.DIRECT)
         row, built = _count_fractions(
             monkeypatch, lambda: prob_hetero_bell_poly(d, n, lam, Route.STIRLING_TRANSFORM)
         )
         assert built <= 1 + (n + 1)
         assert len(triangles._rows(1, 0, 1)) == n + 1  # weighted by the stirling1u row
         assert row == prob_hetero_bell_poly(d, n, lam, Route.DIRECT)
+
+
+def test_routes_and_row_sides_fill_no_per_entry_memo():
+    # every reader takes a kept row whole from the memo that keeps it, so the per-entry
+    # memos stay empty: the transform reads the lam = 0 DIRECT rows, not prob_stirling2
+    clear_caches()
+    lam = Fraction(-5, 7)
+    for d in _COUNTED_LAWS:
+        for route in Route:
+            for n in range(9):
+                prob_hetero_bell_poly(d, n, lam, route)
+        for n in range(9):
+            identities._IDENTITIES["T2.11"].right(d, n, lam)
+    for n in range(9):
+        identities._IDENTITIES["T2.17"].right(_COUNTED_LAWS[1], n, lam)
+    for memo in (prob_stirling2, prob_lah, hetero_stirling, distributions.deg_rising_moment):
+        assert memo.cache_info().currsize == 0, memo.__name__
 
 
 def test_warm_row_with_fraction_lambda_builds_no_fraction(monkeypatch):

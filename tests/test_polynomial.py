@@ -125,12 +125,16 @@ def test_derivative_product_rule(a, x):
 
 
 def test_deg_rising_poly_matches_pointwise_oracle():
-    for lam in [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-3, 4)]:
-        for n in range(6):
+    # negative and non-integer lam too, up to n = 12: the stirling1u row times powers of lam
+    lams = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-3, 4)]
+    for lam in lams + [Fraction(-2), Fraction(-7, 3), Fraction(5, 2)]:
+        for n in range(13):
             p = deg_rising_poly(n, lam)
             assert p.degree == (n if n else 0)
             for x in [Fraction(0), Fraction(1), Fraction(-2), Fraction(7, 5)]:
                 assert p(x) == rising(x, n, lam)
+    with pytest.raises(ValueError, match=r"^deg_rising_poly needs n >= 0$"):
+        deg_rising_poly(-1, Fraction(1, 2))
 
 
 def test_deg_rising_poly_monic_no_constant():

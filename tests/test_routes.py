@@ -95,6 +95,8 @@ def _names(*names: str) -> frozenset[str]:
 _PARTIAL_BELL = _names("hetero._bell_rows")
 # the two readers of B_{n,k} at the values of the rows: one at a time, or from the partial Bell rows
 _VALUE_BELL = _names("triangles.partial_bell", "hetero._value_bell_row")
+# the stirling1u row that STIRLING_TRANSFORM weighs by, and its reader
+_TRANSFORM_WEIGHTS = _names("triangles.stirling1u", "triangles.triangle_row")
 _SUM_MOMENTS = _names("distributions._sum_moment_rows")
 # a closed form of the triangles alone reads no law
 _NO_LAW = _names("distributions._sum_moment_rows", _LAW)
@@ -102,10 +104,8 @@ _TRIANGLE = _names("hetero.hetero_bell_poly", "hetero.hetero_stirling", "triangl
 
 SIDES: dict[str, Sides] = {
     # STIRLING_TRANSFORM reads DIRECT at lam = 0 only, so at lam = 0 it reads the left's own row
-    "T2.2": Sides(
-        _PARTIAL_BELL | _names("triangles.stirling1u"), _PARTIAL_BELL, meets=lambda pt: pt["lam"] == 0
-    ),
-    "T2.3": Sides(_PARTIAL_BELL | _names("triangles.stirling1u"), _PARTIAL_BELL),
+    "T2.2": Sides(_PARTIAL_BELL | _TRANSFORM_WEIGHTS, _PARTIAL_BELL, meets=lambda pt: pt["lam"] == 0),
+    "T2.3": Sides(_PARTIAL_BELL | _TRANSFORM_WEIGHTS, _PARTIAL_BELL),
     # at lam = 1 the (1, -lam) weights are the identity, so that entry reads prob_lah's own row
     "T2.4": Sides(
         _PARTIAL_BELL | _names("triangles.deg_stirling1", "triangles.triangle_row"),
@@ -117,8 +117,8 @@ SIDES: dict[str, Sides] = {
     "T2.8": Sides(_PARTIAL_BELL, _PARTIAL_BELL | _names("iid._moment_series"), meets=lambda pt: pt["n"] == 0),
     "T2.9": Sides(_PARTIAL_BELL, _SUM_MOMENTS),
     "T2.10": Sides(_PARTIAL_BELL, _PARTIAL_BELL, one_route=True),
-    "T2.11": Sides(_PARTIAL_BELL | _names("triangles.partial_bell"), _PARTIAL_BELL, one_route=True),
     # B_{n,k} of the values is read on one side only
+    "T2.11": Sides(_PARTIAL_BELL | _VALUE_BELL, _PARTIAL_BELL, one_route=True),
     "T2.12": Sides(_PARTIAL_BELL | _VALUE_BELL, _PARTIAL_BELL, one_route=True),
     "T2.13": Sides(_PARTIAL_BELL, _PARTIAL_BELL | _VALUE_BELL, one_route=True),
     "T2.16": Sides(_TRIANGLE, _NO_LAW),
