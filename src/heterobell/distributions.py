@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import ClassVar, Iterator
@@ -34,12 +34,13 @@ _LAWS: dict[str, type[Distribution]] = {}
 class Distribution:
     """Base of every law, a frozen dataclass(eq=False) registered under its spec head.
 
-    A law carries moment(n) = E[Y**n]; scale(), an integer sigma with sigma**n *
-    E[Y**n] integral for every n; bound(), a B with |Y| <= B almost surely, or None;
-    and the parse and format of its spec after "head:".  The defaults serve a law
-    of one rational field.  Laws are memo keys everywhere, and rehashing or comparing
-    the dozens of Fractions of a MomentList on every lookup dominated the cost of a
-    cache hit, also through a second, equal instance; so a law hashes its fields once.
+    A law carries moment(n) = E[Y**n]; require(n), which raises unless it has every moment
+    up to order n; scale(), an integer sigma with sigma**n * E[Y**n] integral for every n;
+    bound(), a B with |Y| <= B almost surely, or None; and the parse and format of its spec
+    after "head:".  The defaults serve a law of one rational field, never short of a moment.
+    Laws are memo keys everywhere, and rehashing or comparing the dozens of Fractions of a
+    MomentList on every lookup dominated the cost of a cache hit, also through a second,
+    equal instance; so a law hashes its fields once.
     """
 
     head: ClassVar[str]
@@ -55,7 +56,7 @@ class Distribution:
         # the numbers, so a cached key stays valid across pickle, copy and processes, and
         # as the Fractions are in lowest terms, two laws of one type are equal exactly
         # when their keys are, compared without Fraction arithmetic
-        values = tuple(getattr(self, f.name) for f in fields(self))
+        values = tuple(getattr(self, name) for name in self.__match_args__)
         return hash(values), repr(values)
 
     def __hash__(self) -> int:
@@ -71,13 +72,13 @@ class Distribution:
         return f"{self.head}:{self.format()}"
 
     def _value(self) -> Fraction:
-        cls = self.__class__
-        if "_first_field" not in cls.__dict__:  # the name of the first field, read once per class
-            cls._first_field = fields(cls)[0].name
-        return getattr(self, cls._first_field)
+        return getattr(self, self.__match_args__[0])
 
     def moment(self, n: int) -> Fraction:
         raise NotImplementedError
+
+    def require(self, n: int) -> None:
+        """Raise MomentUnavailable, naming the first missing order, unless moments 0..n all exist."""
 
     def scale(self) -> int:
         return self._value().denominator
@@ -206,6 +207,9 @@ class MomentList(Distribution, head="moments"):
             raise MomentUnavailable(f"moment of order {n} requested, only {supplied} supplied")
         return self.mu[n]
 
+    def require(self, n: int) -> None:
+        self.moment(min(n, len(self.mu)))  # raises at order len(mu), the first one missing, if n reaches it
+
     def scale(self) -> int:
         return math.lcm(*(m.denominator for m in self.mu))
 
@@ -246,8 +250,7 @@ def _sum_moment_rows(d: Distribution, n: int, start: int = 0) -> Iterator[list[i
     """
     if n < 0 or start < 0:
         raise ValueError("indices must be >= 0")
-    for m in range(1, n + 1):  # a law short of order n raises here, before its memo has a key
-        raw_moment(d, m)
+    d.require(n)  # a law short of order n raises here, before its memo has a key
     sigma, pascal = d.scale(), [[1]]
     with _MOMENTS_LOCK:
         ys, rows = _sum_moments(d)

@@ -22,7 +22,6 @@ from typing import Iterator
 from .arith import RationalLike, binomial, factorial, times
 from .distributions import (
     Distribution,
-    raw_moment,
     scaled_deg_rising_moments,
     scaled_sum_deg_rising_moments,
 )
@@ -80,8 +79,7 @@ def prob_lah(d: Distribution, n: int, k: int) -> Fraction:
 @lru_cache(maxsize=None)
 def _row(d: Distribution, n: int, lam: Fraction, route: Route) -> Polynomial:
     """Row n of the chosen route, coefficient k for k = 0..n; entries with k > n vanish."""
-    for m in range(1, n + 1):  # a law short of order n raises here, before any memo has a key
-        raw_moment(d, m)
+    d.require(n)  # a law short of order n raises here, before any memo has a key
     if route is Route.DIRECT:
         # the paper's definition (1/k!) sum_j (-1)**(k-j) C(k, j) E<S_j>_{n,lam} is the k-th
         # forward difference at j = 0 over k!; with E<S_j>_{n,lam} = moments[j] / scale, the
@@ -180,7 +178,7 @@ def _direct_values(d: Distribution, n: int, lam: Fraction, x: Fraction) -> _Valu
 
     The list is the memo's own, so a caller reads it and never changes it.
     """
-    _row(d, n, lam, Route.DIRECT)  # a law short of order n raises here, before _values has a key
+    d.require(n)  # a law short of order n raises here, before _values has a key
     # the memo is looked up under the lock too, so that two threads missing it at once cannot
     # each make a list of their own
     with _VALUES_LOCK:
@@ -200,10 +198,10 @@ def _value_bell_row(d: Distribution, n: int, lam: Fraction, x: Fraction, s: int)
     an integer: row i of DIRECT has entries over k! (b*sigma)**i, so i! (b*sigma*q)**i P_i(x) is one.
     """
     values = _direct_values(d, max(n - s, 0), lam, x)  # u_1..u_n, through the door of the values
+    c = lam.denominator * d.scale() * x.denominator
     with _VALUES_LOCK:
         scaled, rows = values.bells[s]
-        while len(rows) <= n:
-            m, c = len(rows), lam.denominator * d.scale() * x.denominator
+        for m in range(len(rows), n + 1):
             # W_i for u_i = i**s P_{i-s}(x)
             big_ws = [i**s * times(values[i - s], factorial(i) * c**i) for i in range(1, m + 1)]
             weights = [binomial(m - 1, i - 1) * binomial(m, i) * w for i, w in enumerate(big_ws, 1)]

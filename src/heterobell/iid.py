@@ -83,7 +83,6 @@ def order_split_rhs(
         raise ValueError("orders must be >= 0")
     t = Fraction(t)
     lam = Fraction(lam)
-    for e in range(1, n + m + 1):  # a law short of order n + m raises here, before any memo has a key
-        raw_moment(d, e)
+    d.require(n + m)  # a law short of order n + m raises here, before any memo has a key
     weights = _split_weights(d, n, m, lam)
     return sum((prob_hetero_bell_poly(d, k, lam)(t) * w(t) for k, w in enumerate(weights)), Fraction(0))

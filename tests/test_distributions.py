@@ -1,5 +1,6 @@
 import ast
 import copy
+import dataclasses
 import functools
 import importlib
 import math
@@ -193,6 +194,22 @@ def test_moment_list_lookup_and_exhaustion():
         assert prob_hetero_stirling(d, 2, 1, half, route) == Fraction(7, 12)
         with pytest.raises(MomentUnavailable):
             prob_hetero_stirling(d, 4, 3, half, route)
+
+
+# a law of every registered head but the moment list's, which alone can run short
+_NEVER_SHORT = ("bernoulli:1/3", "poisson:5/4", "const:-2/7", "finite:-3/2:1/4,5/2:3/4")
+
+
+def test_only_a_moment_list_runs_short(monkeypatch):
+    assert {spec.partition(":")[0] for spec in _NEVER_SHORT} == set(_LAWS) - {"moments"}
+    laws = [parse_distribution(spec) for spec in _NEVER_SHORT]
+    read = []
+    for law in laws:
+        plain = type(law).moment
+        monkeypatch.setattr(type(law), "moment", lambda self, n, plain=plain: read.append(n) or plain(self, n))
+    clear_caches()
+    assert [law.require(40) for law in laws] == [None] * len(laws)
+    assert read == [] and raw_moment.cache_info().currsize == 0
 
 
 def test_sum_moments_frozen_values():
@@ -449,12 +466,23 @@ def test_warm_spec_and_scale_read_no_dataclass_fields(monkeypatch):
     specs = [format_distribution(d) for d in laws]
     scales = [d.scale() for d in laws]
     calls = []
-    fields = heterobell.distributions.fields
-    monkeypatch.setattr(heterobell.distributions, "fields", lambda obj: calls.append(obj) or fields(obj))
+    fields = dataclasses.fields
+
+    def counted(obj):
+        calls.append(obj)
+        return fields(obj)
+
+    monkeypatch.setattr(dataclasses, "fields", counted)
+    # also under the name a module would bind with `from dataclasses import fields`
+    monkeypatch.setattr(heterobell.distributions, "fields", counted, raising=False)
     assert [format_distribution(d) for d in laws] == specs == ["bernoulli:1/3", "poisson:5/4", "const:-2/7"]
     assert [d.scale() for d in laws] == scales == [3, 4, 7]
     # a second instance of a law already read needs none either
     assert parse_distribution("bernoulli:1/3").scale() == 3
+    # nor does the key of a law never hashed before, of one field or of several
+    fresh = [Constant(Fraction(-9, 11)), MomentList((1, Fraction(3, 13))), FiniteSupport(((0, 1),))]
+    twins = [Constant(Fraction(-18, 22)), MomentList((1, Fraction(3, 13))), FiniteSupport(((0, 1),))]
+    assert [hash(d) for d in fresh] == [hash(d) for d in twins] and fresh == twins
     assert calls == []
 
 

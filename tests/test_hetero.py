@@ -330,6 +330,49 @@ def test_short_moment_list_table_exits_2_and_leaves_no_memo_entry(capsys):
     assert [memo.cache_info().currsize for memo in _SHORT_LAW_MEMOS] == [0, 0, 0, 0, 0]
 
 
+# every reader that checks a law's reach before its memo has a key, and the check itself
+_DOORS = (
+    [lambda d: d.require(5)]
+    + [lambda d, route=route: prob_hetero_bell_poly(d, 5, 0, route) for route in Route]
+    + [lambda d: sum_raw_moment(d, 3, 5), lambda d: hetero._direct_values(d, 5, Fraction(0), HALF)]
+    + [lambda d: order_split_rhs(d, 2, 3, HALF, 0)]
+)
+
+
+@pytest.mark.parametrize(
+    "door", _DOORS, ids=["require"] + [route.name for route in Route] + ["sum_moments", "values", "order_split"]
+)
+def test_a_short_law_names_its_first_missing_order(door):
+    short = parse_distribution("moments:1,1/2")
+    clear_caches()
+    with pytest.raises(MomentUnavailable, match="^moment of order 2 requested, only 1 supplied$"):
+        door(short)
+    # a moment asked for by its own order still names that order
+    with pytest.raises(MomentUnavailable, match="^moment of order 5 requested, only 1 supplied$"):
+        raw_moment(short, 5)
+    assert short.require(1) is None and raw_moment.cache_info().currsize == 0
+
+
+def test_each_moment_order_is_looked_up_once():
+    # the engine reads orders 0..n once each, and no door reads one before it
+    clear_caches()
+    prob_hetero_bell_poly(Poisson(Fraction(5, 4)), 12, Fraction(1, 3))
+    info = raw_moment.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 13, 13)
+
+
+def test_warm_value_stream_looks_up_no_row():
+    clear_caches()
+    law, lam, x = parse_distribution("finite:-1/2:1/3,3/2:2/3"), Fraction(-5, 7), Fraction(3, 2)
+    values = hetero._direct_values(law, 6, lam, x)
+    hetero._value_bell_row(law, 6, lam, x, 1)
+    rows = hetero._row.cache_info()
+    for n in range(7):
+        assert hetero._direct_values(law, n, lam, x) is values
+        hetero._value_bell_row(law, n, lam, x, 1)
+    assert hetero._row.cache_info() == rows
+
+
 @st.composite
 def _laws_with_a_negative_atom(draw):
     law = draw(_finite_laws())

@@ -98,8 +98,10 @@ _VALUE_BELL = _names("triangles.partial_bell", "hetero._value_bell_row")
 # the stirling1u row that STIRLING_TRANSFORM weighs by, and its reader
 _TRANSFORM_WEIGHTS = _names("triangles.stirling1u", "triangles.triangle_row")
 _SUM_MOMENTS = _names("distributions._sum_moment_rows")
-# a closed form of the triangles alone reads no law
-_NO_LAW = _names("distributions._sum_moment_rows", _LAW)
+# a closed form of the triangles alone reads no law, nor asks one how far its moments reach
+_NO_LAW = _names(
+    "distributions._sum_moment_rows", _LAW, "distributions.Distribution.require", "distributions.MomentList.require"
+)
 _TRIANGLE = _names("hetero.hetero_bell_poly", "hetero.hetero_stirling", "triangles.triangle_row")
 
 SIDES: dict[str, Sides] = {
