@@ -1,4 +1,4 @@
-"""Exact scalar combinatorics.
+"""Exact scalar combinatorics, and the rows memo that every row recurrence grows.
 
 Nothing here ever rounds.  Integer-valued quantities (factorials,
 binomials) are returned as plain ints, which mix freely with Fraction
@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import ParseError, PartsMismatch
 
@@ -100,3 +101,32 @@ def deg_rising_factorial(x: RationalLike, n: int, lam: RationalLike) -> Fraction
     for i in range(n):
         out *= start + i * step
     return Fraction(out, (lam.denominator * x.denominator) ** n)
+
+
+class Rows(list):
+    """Rows 0, 1, ... of one memo, each made once, in order, by step(rows) from the rows before it.
+
+    A memo is an lru_cache factory that returns its Rows.  upto(n) grows them under the memo's
+    own lock, and a row already made is read with no lock.  Two first reads of one key racing
+    at once could each make a Rows; a memo that must stay one object is read through of().
+    """
+
+    _made = threading.Lock()
+
+    def __init__(self, step: Callable[[list], object], *first):
+        super().__init__(first)
+        self.step, self.lock = step, threading.Lock()
+
+    def upto(self, n: int) -> Rows:
+        """The rows themselves, grown to hold rows 0..n; a step that raises adds no row."""
+        if len(self) <= n:
+            with self.lock:
+                while len(self) <= n:
+                    self.append(self.step(self))
+        return self
+
+    @classmethod
+    def of(cls, memo: Callable[..., Rows], *key) -> Rows:
+        """memo(*key), looked up under one lock, so that racing first reads of a key share one Rows."""
+        with cls._made:
+            return memo(*key)

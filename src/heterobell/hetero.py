@@ -13,13 +13,11 @@ import enum
 import itertools
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
-from .arith import RationalLike, binomial, factorial, times
+from .arith import RationalLike, Rows, binomial, factorial, times
 from .distributions import (
     Distribution,
     scaled_deg_rising_moments,
@@ -91,43 +89,31 @@ def _row(d: Distribution, n: int, lam: Fraction, route: Route) -> Polynomial:
             column = list(map(operator.sub, column[1:], column))
         return Polynomial(Fraction(v, factorial(k) * scale) for k, v in enumerate(diffs))
     if route is Route.STIRLING_TRANSFORM:
-        # sum_l H_0(l, k) stirling1u(n, l) lam**(n-l): the DIRECT rows H_0(l, .) at lam = 0, entry k an
-        # integer over k! sigma**l, weighed by the coefficients of <x>_{n,lam}, read as one stirling1u row
-        a, b, sigma, zero = lam.numerator, lam.denominator, d.scale(), Fraction(0)
-        weights = [s * a ** (n - l) * b**l for l, s in enumerate(triangle_row(1, 0, n))]
-        rows = [_row(d, l, zero, Route.DIRECT).coeffs for l in range(n + 1)]
-        entries = []
-        for k in range(n + 1):
-            den = factorial(k) * sigma**n
-            total = sum(times(row[k], den) * weights[l] for l, row in enumerate(rows) if k < len(row))
-            entries.append(Fraction(total, den * b**n))
-        return Polynomial(entries)
+        # sum_l H_0(l, k) stirling1u(n, l) lam**(n-l): the lam = 0 PARTIAL_BELL rows H_0(l, .), entry k an
+        # integer over sigma**l, weighed by the coefficients of <x>_{n,lam}, read as one stirling1u row
+        a, b, sigma, rows = lam.numerator, lam.denominator, d.scale(), _bell_rows(d, n, Fraction(0))
+        weights = [s * a ** (n - l) * b**l * sigma ** (n - l) for l, s in enumerate(triangle_row(1, 0, n))]
+        totals = (sum(weights[l] * rows[l][k] for l in range(k, n + 1)) for k in range(n + 1))
+        return Polynomial(Fraction(total, (b * sigma) ** n) for total in totals)
     # PARTIAL_BELL: B_{n,k} of the single-copy moments E<Y>_{m,lam}, m = 1..n, in integers over c**n
     rows, scale = _bell_rows(d, n, lam), lam.denominator * d.scale()
     return Polynomial(Fraction(v, scale**n) for v in rows[n])
 
 
-_BELL_LOCK = threading.Lock()
-
-
 @lru_cache(maxsize=None)
-def _bell_memo(d: Distribution, lam: Fraction) -> tuple[Iterator[None], list[tuple[int, ...]]]:
-    """Rows m = 0, 1, ... of c**m B_{m,k}(E<Y>_{1,lam}, E<Y>_{2,lam}, ...), c = b*sigma for lam = a/b, as
-    int, and the stream that appends each next row by the top-element recurrence B_{m,k} =
-    sum_i C(m-1, i-1) x_i B_{m-i,k-1} (Comtet, Advanced Combinatorics, 1974, 3.3) on whole rows,
-    Q_m = t sum_i C(m-1, i-1) u_i Q_{m-i} in t, with u_i = c**i x_i drawn from one moment stream.
-    """
-    rows = [(1,)]
+def _bell_memo(d: Distribution, lam: Fraction) -> Rows:
+    """Rows m = 0, 1, ... of c**m B_{m,k}(E<Y>_{1,lam}, E<Y>_{2,lam}, ...) as int, c = b*sigma for lam = a/b,
+    by the top-element recurrence B_{m,k} = sum_i C(m-1, i-1) x_i B_{m-i,k-1} (Comtet, Advanced
+    Combinatorics, 1974, 3.3) on whole rows, Q_m = t sum_i C(m-1, i-1) u_i Q_{m-i} in t, with the
+    u_i = c**i x_i drawn from one moment stream as the rows reach them."""
+    moments = scaled_deg_rising_moments(d, lam)[0]
+    us = Rows(lambda _: next(moments))
 
-    def stream() -> Iterator[None]:
-        moments, _ = scaled_deg_rising_moments(d, lam)
-        us = [next(moments)]
-        for m in itertools.count(1):
-            us.append(next(moments))
-            rows.append(_bell_step(rows, [binomial(m - 1, i - 1) * us[i] for i in range(1, m + 1)]))
-            yield
+    def step(rows: Rows) -> tuple[int, ...]:
+        m, u = len(rows), us.upto(len(rows))
+        return _bell_step(rows, [binomial(m - 1, i - 1) * u[i] for i in range(1, m + 1)])
 
-    return stream(), rows
+    return Rows(step, (1,))
 
 
 def _bell_step(rows: list[tuple[int, ...]], weights: list[int]) -> tuple[int, ...]:
@@ -141,74 +127,43 @@ def _bell_step(rows: list[tuple[int, ...]], weights: list[int]) -> tuple[int, ..
     return tuple(row)
 
 
-def _bell_rows(d: Distribution, n: int, lam: Fraction) -> list[tuple[int, ...]]:
+def _bell_rows(d: Distribution, n: int, lam: Fraction) -> Rows:
     """Rows 0..n, at least, of the memo of (d, lam); reading them one call at a time costs one pass."""
-    # called only when the _row memo misses, so it takes the lock every time
-    with _BELL_LOCK:
-        stream, rows = _bell_memo(d, lam)
-        while len(rows) <= n:
-            next(stream)
-    return rows
-
-
-_VALUES_LOCK = threading.Lock()
-
-
-class _Values(list):
-    """P_0(x), P_1(x), ..., the DIRECT rows of one (law, lam) evaluated at x, and in `bells[s]` the
-    partial Bell rows of u_i = i**s P_{i-s}(x): u_i = P_i(x) for s = 0 and i P_{i-1}(x) for s = 1.
-
-    `bells[s]` holds two lists of rows m = 0, 1, ...: the integers m! c**m B_{m,k}(u), k = 0..m,
-    and the B_{m,k}(u) themselves, for c = b*sigma*q at lam = a/b and x = p/q.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.bells = tuple(([(1,)], [(Fraction(1),)]) for _ in range(2))
+    return Rows.of(_bell_memo, d, lam).upto(n)
 
 
 @lru_cache(maxsize=None)
-def _values(d: Distribution, lam: Fraction, x: Fraction) -> _Values:
-    """The memo of (d, lam, x), grown only by _direct_values and _value_bell_row."""
-    return _Values()
-
-
-def _direct_values(d: Distribution, n: int, lam: Fraction, x: Fraction) -> _Values:
-    """Values at x of the DIRECT rows 0..n, at least, of (d, lam): each row is evaluated once per point.
-
-    The list is the memo's own, so a caller reads it and never changes it.
+def _values(d: Distribution, lam: Fraction, x: Fraction, s: int | None = None) -> Rows:
+    """P_0(x), P_1(x), ..., the DIRECT rows of (d, lam) at x, keyed by (d, lam, x) alone; or, for s = 0 or 1,
+    the partial Bell rows m of u_i = i**s P_{i-s}(x) as pairs: the integers R_{m,k} = m! c**m B_{m,k}(u),
+    k = 0..m, and the B_{m,k}(u), for c = b*sigma*q at lam = a/b, x = p/q.  With w_i = c**i u_i, c**m
+    B_{m,k}(u) = B_{m,k}(w), and the top-element recurrence (Comtet 1974, 3.3) gives R_{m,k} = sum_i
+    C(m-1, i-1) C(m, i) W_i R_{m-i,k-1} for W_i = i! w_i, an integer: DIRECT row i is over k! (b*sigma)**i.
     """
+    if s is None:
+        return Rows(lambda values: _row(d, len(values), lam, Route.DIRECT)(x))
+    values, c = _values(d, lam, x), lam.denominator * d.scale() * x.denominator
+
+    def step(rows: Rows) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+        m, at_x = len(rows), values.upto(len(rows) - s)
+        big_ws = [i**s * times(at_x[i - s], factorial(i) * c**i) for i in range(1, m + 1)]  # W_i
+        weights = [binomial(m - 1, i - 1) * binomial(m, i) * w for i, w in enumerate(big_ws, 1)]
+        scaled, den = _bell_step([ints for ints, _ in rows], weights), factorial(m) * c**m
+        return scaled, tuple(Fraction(v, den) for v in scaled)
+
+    return Rows(step, ((1,), (Fraction(1),)))
+
+
+def _direct_values(d: Distribution, n: int, lam: Fraction, x: Fraction) -> Rows:
+    """Values at x of the DIRECT rows 0..n, at least, of (d, lam), in the memo's own list."""
     d.require(n)  # a law short of order n raises here, before _values has a key
-    # the memo is looked up under the lock too, so that two threads missing it at once cannot
-    # each make a list of their own
-    with _VALUES_LOCK:
-        values = _values(d, lam, x)
-        while len(values) <= n:
-            values.append(_row(d, len(values), lam, Route.DIRECT)(x))
-    return values
+    return Rows.of(_values, d, lam, x).upto(n)
 
 
 def _value_bell_row(d: Distribution, n: int, lam: Fraction, x: Fraction, s: int) -> tuple[Fraction, ...]:
-    """B_{n,k}(u) for k = 0..n, with u_i = P_i(x) (s = 0) or u_i = i P_{i-1}(x) (s = 1) read from the
-    value stream of (d, lam, x); the rows grow once per (law, lam, x), in the memo of the values.
-
-    Rows grow by the top-element recurrence B_{m,k} = sum_i C(m-1, i-1) u_i B_{m-i,k-1} (Comtet 1974,
-    3.3), in integers: with c**i u_i = w_i, homogeneity gives c**m B_{m,k}(u) = B_{m,k}(w), and
-    R_{m,k} = m! B_{m,k}(w) = sum_i C(m-1, i-1) C(m, i) W_i R_{m-i,k-1} for W_i = i! w_i.  Each W_i is
-    an integer: row i of DIRECT has entries over k! (b*sigma)**i, so i! (b*sigma*q)**i P_i(x) is one.
-    """
-    values = _direct_values(d, max(n - s, 0), lam, x)  # u_1..u_n, through the door of the values
-    c = lam.denominator * d.scale() * x.denominator
-    with _VALUES_LOCK:
-        scaled, rows = values.bells[s]
-        for m in range(len(rows), n + 1):
-            # W_i for u_i = i**s P_{i-s}(x)
-            big_ws = [i**s * times(values[i - s], factorial(i) * c**i) for i in range(1, m + 1)]
-            weights = [binomial(m - 1, i - 1) * binomial(m, i) * w for i, w in enumerate(big_ws, 1)]
-            scaled.append(_bell_step(scaled, weights))
-            den = factorial(m) * c**m
-            rows.append(tuple(Fraction(v, den) for v in scaled[m]))
-    return rows[n]
+    """B_{n,k}(u) for k = 0..n, with u_i = P_i(x) (s = 0) or u_i = i P_{i-1}(x) (s = 1)."""
+    d.require(max(n - s, 0))  # u_1..u_n read P_0(x)..P_{n-s}(x)
+    return Rows.of(_values, d, lam, x, s).upto(n)[n][1]
 
 
 def prob_hetero_stirling(
@@ -340,6 +295,9 @@ def dobinski_details(
     numer, power, any_term = 0, 1, False
     for k, moment in zip(range(_SERIES_TERM_CAP), moments):
         any_term = any_term or moment != 0
+        if k == n and not any_term:
+            # E<S_k>_{n,lam} is a polynomial in k of degree <= n, so zero at k = 0..n is zero at every k
+            return SeriesEvaluation(0.0, n + 1, Fraction(0), 0.0)
         numer = numer * k * q + moment * power
         power *= p  # p**(k+1)
         base_scaled = (k + 1) * b_scaled + s_scaled  # unit * base
@@ -374,8 +332,4 @@ def dobinski_details(
                 + 1.01 * abs(float(Fraction(float(x)) - x))
             )
             return SeriesEvaluation(value, k + 1, partial, rel)
-        if not any_term and k >= 64 + 4 * n:
-            # e.g. a point mass at 0 with lam != 0: the limit is 0 but the
-            # majorant stays positive, so no relative bound can be certified
-            raise SeriesNotCertified("series terms are all zero; cannot certify a relative error")
     raise SeriesNotCertified(f"series failed to certify convergence within {_SERIES_TERM_CAP} terms")

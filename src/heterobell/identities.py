@@ -87,11 +87,12 @@ _SPLIT_NOTE = (
 
 
 def _lah_through_lambdas(dist, n: int, k: int, lambdas: tuple[Fraction, ...]) -> list[Fraction]:
-    # entry l of row n of the (1, -lam) triangle is deg_stirling1(n, l, lam)
-    return [
-        dot([prob_hetero_stirling(dist, l, k, lam) for l in range(k, n + 1)], triangle_row(1, -lam, n)[k:])
-        for lam in lambdas
-    ]
+    # entry k of the PARTIAL_BELL rows l = k..n at each lam, weighed by entry l of row n of the
+    # (1, -lam) triangle, deg_stirling1(n, l, lam)
+    def column(lam: Fraction) -> list[Fraction]:
+        return [prob_hetero_bell_poly(dist, l, lam, Route.PARTIAL_BELL).coeff(k) for l in range(k, n + 1)]
+
+    return [dot(column(lam), triangle_row(1, -lam, n)[k:]) for lam in lambdas]
 
 
 # T2.10 to T2.13 read the DIRECT rows at a few points each, through hetero._direct_values,

@@ -6,53 +6,47 @@ The five deterministic triangles obey one two-term recurrence,
 
 with weights (a, b) = (0, 1) for stirling2, (1, 0) for stirling1u, (1, 1)
 for lah, (lam, 1) for the heterogeneous numbers and (1, -lam) for
-deg_stirling1.  One memo holds the rows of each weight pair, grown a row at
-a time and kept for the life of the process.  With q the least common
-denominator of a and b, the rows are stored as the integers q**n * T(n, k),
-so the recurrence never builds a Fraction; the classical families (q = 1)
-hold their entries as int, the lam families return Fraction.
+deg_stirling1.  One memo, an arith.Rows, holds the rows of each weight
+pair, grown a row at a time and kept for the life of the process.  With q
+the least common denominator of a and b, the rows are stored as the integers
+q**n * T(n, k), so the recurrence never builds a Fraction; the classical
+families (q = 1) hold their entries as int, the lam families return Fraction.
 """
 from __future__ import annotations
 
 import math
 import operator
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .arith import RationalLike, factorial, times
+from .arith import RationalLike, Rows, factorial, times
 from .errors import InsufficientSequence
 from .polynomial import Polynomial
 
-_ROWS_LOCK = threading.Lock()
-
 
 @lru_cache(maxsize=None)
-def _rows(a: int, b: int, q: int) -> list[tuple[int, ...]]:
-    """The memo of the (a/q, b/q) triangle: rows 0, 1, ... of q**n * T(n, k), grown only by _row."""
-    return [(1,)]
+def _rows(a: int, b: int, q: int) -> Rows:
+    """The memo of the (a/q, b/q) triangle: rows 0, 1, ... of U(n, k) = q**n * T(n, k), appended in a
+    loop, never by recursion, by the scaled recurrence U(m+1, k) = q*U(m, k-1) + (a*m + b*k)*U(m, k)."""
+
+    def step(rows: Rows) -> tuple[int, ...]:
+        m = len(rows) - 1
+        row = [0] * (m + 2)
+        for k, v in enumerate(rows[m]):
+            row[k] += (a * m + b * k) * v
+            row[k + 1] += q * v
+        return tuple(row)
+
+    return Rows(step, (1,))
 
 
 def _row(a: int, b: int, q: int, n: int) -> tuple[int, ...]:
-    """Row n of the triangle with weights (a/q, b/q), scaled by q**n.
-
-    Scaled, the recurrence reads U(m+1, k) = q*U(m, k-1) + (a*m + b*k)*U(m, k).
-    Rows are appended in a loop, never by recursion, so any n works.
-    """
+    """Row n of the triangle with weights (a/q, b/q), scaled by q**n."""
+    # the memo is looked up with no lock: racing first reads may each grow a Rows, all of them equal
     if n < 0:
         raise ValueError("triangle indices must be >= 0")
-    rows = _rows(a, b, q)
-    if len(rows) <= n:
-        with _ROWS_LOCK:
-            while len(rows) <= n:
-                m = len(rows) - 1
-                row = [0] * (m + 2)
-                for k, v in enumerate(rows[m]):
-                    row[k] += (a * m + b * k) * v
-                    row[k + 1] += q * v
-                rows.append(tuple(row))
-    return rows[n]
+    return _rows(a, b, q).upto(n)[n]
 
 
 def _entry(a: int, b: int, q: int, n: int, k: int) -> int:

@@ -1,4 +1,8 @@
+import functools
 import math
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +19,7 @@ from heterobell import (
     multinomial,
     parse_rational,
 )
-from heterobell.arith import dot, times
+from heterobell.arith import Rows, dot, times
 
 from .oracles import rising
 
@@ -130,3 +134,79 @@ def test_dot_of_nothing_is_zero():
 def test_dot_of_factors_of_different_lengths_raises(factors):
     with pytest.raises(ValueError):
         dot(*factors)
+
+
+def _race(read, count: int = 4) -> None:
+    """read(i) in count threads started at once, switching between them as often as the interpreter can."""
+    start = threading.Barrier(count)
+
+    def run(i):
+        start.wait()
+        read(i)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+
+
+def _sums(rows: list) -> int:
+    """A next row that reads every row before it: their sum, plus the count of them."""
+    return sum(rows) + len(rows)
+
+
+def test_racing_readers_make_each_row_once():
+    made = []
+    rows = Rows(lambda rows: made.append(len(rows)) or _sums(rows), 1)
+    got = [None] * 4
+
+    def read(i):
+        order = range(300) if i % 2 else range(299, -1, -1)
+        got[i] = {n: rows.upto(n)[n] for n in order}
+
+    _race(read)
+    serial = [1]
+    while len(serial) < 300:
+        serial.append(_sums(serial))
+    assert made == list(range(1, 300))  # rows 1..299, each made once and in order
+    assert rows == serial
+    assert all(read is not None and [read[n] for n in range(300)] == serial for read in got)
+
+
+def test_a_step_that_raises_adds_no_row():
+    def step(rows):
+        if len(rows) == 3:
+            raise ArithmeticError("no row 3")
+        return len(rows)
+
+    rows = Rows(step, 0)
+    with pytest.raises(ArithmeticError, match="no row 3"):
+        rows.upto(5)
+    assert rows == [0, 1, 2] and not rows.lock.locked()
+    assert rows.upto(2) is rows and rows == [0, 1, 2]
+
+
+def test_racing_first_reads_share_one_rows():
+    made = []
+
+    @functools.lru_cache(maxsize=None)
+    def memo(key):
+        made.append(key)
+        time.sleep(0.01)  # a slow first read, which the other threads would miss alongside
+        return Rows(len)
+
+    got = [None] * 4
+
+    def read(i):
+        got[i] = Rows.of(memo, "key").upto(9)
+
+    _race(read)
+    assert made == ["key"]
+    assert all(rows is memo("key") for rows in got) and got[0] == list(range(10))

@@ -181,10 +181,10 @@ def test_short_moment_list_exits_2_and_leaves_the_rows_unchanged(capsys, family)
     keys = hetero._bell_memo.cache_info().currsize
     law = parse_distribution("moments:1,1/2,1/3")
     lam = Fraction({"prob_stirling2": 0, "prob_lah": 1}.get(family, Fraction(1, 3)))
-    entry = hetero._bell_memo(law, lam)  # a hit: the stream and rows the table kept
-    before = list(entry[1])
+    entry = hetero._bell_memo(law, lam)  # a hit: the rows the table kept
+    before = list(entry)
     assert run_cli(capsys, *argv) == (2, "", "error: moment of order 3 requested, only 2 supplied\n")
-    assert hetero._bell_memo(law, lam) is entry and entry[1] == before
+    assert hetero._bell_memo(law, lam) is entry and entry == before
     assert hetero._bell_memo.cache_info().currsize == keys
 
 
@@ -261,14 +261,19 @@ def test_dobinski_nonpositive_point_rejected(capsys):
         ("--dist", "const:0", "--lambda", "1", "--n", "2", "--x", "1"),
         ("--dist", "finite:-1:1/2,1:1/2", "--n", "1", "--x", "1"),
         ("--dist", "bernoulli:0", "--n", "2", "--x", "1"),
+        ("--dist", "const:0", "--lambda", "1", "--n", "3", "--x", "3"),
+        ("--dist", "finite:-1:1/2,1:1/2", "--n", "3", "--x", "3"),
     ],
-    ids=["point-mass-at-0", "mean-0", "bernoulli-0"],
+    ids=["point-mass-at-0", "mean-0", "bernoulli-0", "point-mass-at-0-n3", "mean-0-n3"],
 )
-def test_dobinski_zero_series_exits_2(capsys, argv):
-    # every term of the series is 0, so no relative error can be certified
+def test_dobinski_zero_series_is_exactly_0(capsys, argv):
+    # every term k = 0..n of the series is 0, and a term is a polynomial in k of degree <= n
     code, out, err = run_cli(capsys, "dobinski", *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    n = int(argv[argv.index("--n") + 1])
+    assert (record["value"], record["exact"], record["terms"]) == ("0.0", "0", n + 1)
+    assert record["achieved_rel_error"] == record["rel_error_bound"] == "0.0"
 
 
 def test_dobinski_large_point(capsys):

@@ -244,7 +244,7 @@ def test_table_reads_one_partial_bell_row_per_n():
         assert main(["table", "prob_hetero", "--nmax", "12", "--dist", "poisson:5/4", "--lambda", "1/3"]) == 0
     info = hetero._row.cache_info()
     assert (info.hits, info.misses) == (0, 13)
-    assert len(hetero._bell_memo(law, lam)[1]) == 13
+    assert len(hetero._bell_memo(law, lam)) == 13
     assert distributions._sum_moments.cache_info().currsize == 0  # DIRECT is not read
 
 
@@ -256,7 +256,7 @@ def test_rows_read_one_at_a_time_make_one_pass(monkeypatch):
     law, lam = _COUNTED_LAWS[0], Fraction(-5, 2)
     for n in range(41):
         prob_hetero_bell_poly(law, n, lam, Route.PARTIAL_BELL)
-        rows_made.append(len(hetero._bell_memo(law, lam)[1]))
+        rows_made.append(len(hetero._bell_memo(law, lam)))
     assert streams == [(law, lam)]  # the moments are drawn from one stream
     assert rows_made == list(range(1, 42))  # and each call adds only the row it asks for
     row = prob_hetero_bell_poly(law, 40, lam, Route.PARTIAL_BELL)
@@ -275,7 +275,7 @@ def test_rows_read_out_of_order_equal_a_fresh_process():
     law, lam = parse_distribution(law_text), Fraction(-5, 7)
     for n in (10, 5, 20):
         prob_hetero_bell_poly(law, n, lam, Route.PARTIAL_BELL)
-    assert len(hetero._bell_memo(law, lam)[1]) == 21
+    assert len(hetero._bell_memo(law, lam)) == 21
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
@@ -287,12 +287,12 @@ def test_short_moment_list_leaves_the_rows_unchanged():
     short, lam = MomentList((1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))), Fraction(1, 3)
     two = prob_hetero_bell_poly(short, 2, lam, Route.PARTIAL_BELL)
     entry = hetero._bell_memo(short, lam)
-    before = list(entry[1])
+    before = list(entry)
     for n in (4, 9):
         with pytest.raises(MomentUnavailable, match="order 4 requested, only 3 supplied"):
             prob_hetero_bell_poly(short, n, lam, Route.PARTIAL_BELL)
         assert hetero._bell_memo.cache_info().currsize == 1
-        assert hetero._bell_memo(short, lam) is entry and entry[1] == before
+        assert hetero._bell_memo(short, lam) is entry and entry == before
     # the kept moment stream goes on from where it stopped
     assert prob_hetero_bell_poly(short, 3, lam, Route.PARTIAL_BELL) == prob_hetero_bell_poly(short, 3, lam)
     assert prob_hetero_bell_poly(short, 2, lam, Route.PARTIAL_BELL) is two
@@ -421,8 +421,8 @@ def test_value_bell_rows_equal_partial_bell_on_the_shipped_grid(tag):
 def test_value_bell_rows_equal_partial_bell_on_random_laws(d, lam, x, n):
     clear_caches()
     _assert_value_bell_rows_are_partial_bell(d, n, lam, x)
-    # the rows live in the memo of the values, one per (law, lam, point)
-    assert hetero._values.cache_info().currsize == 1
+    # the rows live in the memo of the values: per (law, lam, point) the values and two Bell sets
+    assert hetero._values.cache_info().currsize == 3
 
 
 def test_concurrent_value_readers_see_one_list():
@@ -517,20 +517,20 @@ def test_stirling_transform_row_is_integer_until_its_entries(monkeypatch):
     n, lam = _COUNTED_N, _COUNTED_LAM
     for d in _COUNTED_LAWS:
         _warm_raw_moments(d, n)
-        # the lam = 0 DIRECT rows the route weighs whole, their entries Fractions already
-        for l in range(n + 1):
-            prob_hetero_bell_poly(d, l, 0, Route.DIRECT)
         row, built = _count_fractions(
             monkeypatch, lambda: prob_hetero_bell_poly(d, n, lam, Route.STIRLING_TRANSFORM)
         )
+        # the lam = 0 key of the integer PARTIAL_BELL rows the route weighs, then one per entry
         assert built <= 1 + (n + 1)
+        # single-copy moments only: the partial-sum engine is never filled
+        assert distributions._sum_moments.cache_info().currsize == 0
         assert len(triangles._rows(1, 0, 1)) == n + 1  # weighted by the stirling1u row
         assert row == prob_hetero_bell_poly(d, n, lam, Route.DIRECT)
 
 
 def test_routes_and_row_sides_fill_no_per_entry_memo():
     # every reader takes a kept row whole from the memo that keeps it, so the per-entry
-    # memos stay empty: the transform reads the lam = 0 DIRECT rows, not prob_stirling2
+    # memos stay empty: the transform reads the lam = 0 PARTIAL_BELL rows, not prob_stirling2
     clear_caches()
     lam = Fraction(-5, 7)
     for d in _COUNTED_LAWS:
@@ -656,9 +656,15 @@ def test_dobinski_zero_value_cases():
     # lam = 0 point mass at 0: majorant vanishes, certified zero
     r = dobinski_details(Constant(0), 2, Fraction(0), Fraction(1))
     assert r.value == 0.0 and r.rel_bound == 0.0
-    # lam != 0 point mass at 0: value is 0 but no relative bound exists
-    with pytest.raises(ArithmeticError):
-        dobinski_details(Constant(0), 2, HALF, Fraction(1))
+    # a point mass at 0 with lam != 0, and a law of mean 0: the majorant stays positive, but
+    # E<S_k>_{n,lam} is a polynomial in k of degree <= n, so terms k = 0..n of 0 certify an exact 0
+    mean_zero = FiniteSupport(((-1, HALF), (1, HALF)))
+    for d, n, lam in ((Constant(0), 2, HALF), (Constant(0), 3, Fraction(1)), (mean_zero, 3, Fraction(0))):
+        r = dobinski_details(d, n, lam, Fraction(3))
+        assert (r.value, r.terms_used, r.partial_sum, r.rel_bound) == (0.0, n + 1, 0, 0.0)
+        assert prob_hetero_bell_poly(d, n, lam)(3) == 0
+    # at n = 2 the same law has terms E[S_k**2] = k, not all 0, and a series that is not 0
+    assert dobinski_details(mean_zero, 2, Fraction(0), Fraction(3)).partial_sum != 0
 
 
 def test_dobinski_value_outside_float_range():
@@ -709,10 +715,11 @@ def test_dobinski_matches_fraction_oracle():
         for x in (HALF, Fraction(7, 3), Fraction(10), Fraction(50, 3))
         for tol in (1e-12, 1e-6)
     ]
-    # the zero series, an all-zero series that cannot certify, and values past the float range
+    # the zero series, two series of terms that are 0 for k = 0..n, and values past the float range
     cases += [
         (Constant(0), 2, Fraction(0), Fraction(1), 1e-12),
         (Constant(0), 2, HALF, Fraction(1), 1e-12),
+        (FiniteSupport(((-1, HALF), (1, HALF))), 3, Fraction(0), Fraction(3), 1e-12),
         (Constant(10**310), 1, Fraction(0), Fraction(1), 1e-12),
         (Constant(10**300), 1, Fraction(0), Fraction(1), 1e-12),
         (BERN_HALF, 1, Fraction(0), Fraction(1, 10**400), 1e-12),

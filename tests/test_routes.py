@@ -105,14 +105,14 @@ _NO_LAW = _names(
 _TRIANGLE = _names("hetero.hetero_bell_poly", "hetero.hetero_stirling", "triangles.triangle_row")
 
 SIDES: dict[str, Sides] = {
-    # STIRLING_TRANSFORM reads DIRECT at lam = 0 only, so at lam = 0 it reads the left's own row
-    "T2.2": Sides(_PARTIAL_BELL | _TRANSFORM_WEIGHTS, _PARTIAL_BELL, meets=lambda pt: pt["lam"] == 0),
-    "T2.3": Sides(_PARTIAL_BELL | _TRANSFORM_WEIGHTS, _PARTIAL_BELL),
-    # at lam = 1 the (1, -lam) weights are the identity, so that entry reads prob_lah's own row
+    # STIRLING_TRANSFORM weighs the lam = 0 PARTIAL_BELL rows, so its right side reads the single-copy
+    # moments, never the partial-sum engine that DIRECT on the left reads
+    "T2.2": Sides(_PARTIAL_BELL | _TRANSFORM_WEIGHTS, _SUM_MOMENTS),
+    "T2.3": Sides(_PARTIAL_BELL | _TRANSFORM_WEIGHTS, _SUM_MOMENTS),
+    # the right side weighs PARTIAL_BELL rows at each lam by the (1, -lam) triangle
     "T2.4": Sides(
         _PARTIAL_BELL | _names("triangles.deg_stirling1", "triangles.triangle_row"),
-        _PARTIAL_BELL,
-        meets=lambda pt: pt["lambdas"] == (1,),
+        _SUM_MOMENTS,
         entries="lambdas",
     ),
     # at n = 0 the expansion is its k = m term, the right side's own row
@@ -222,11 +222,8 @@ def test_every_tag_traces_under_two_seconds():
 
 def test_self_comparisons_are_listed():
     listed = {tag: found.shared for tag, found in _shipped()[0].items() if not SIDES[tag].one_route}
-    assert {tag for tag, shared in listed.items() if shared} == {"T2.2", "T2.4", "T2.8"}
-    # the samples hold points on both sides of each declaration
-    assert {pt["lam"] for pt in listed["T2.2"]} == {0}
-    assert any(pt["lam"] != 0 for pt in sample("T2.2"))
-    assert [pt["lambdas"] for pt in listed["T2.4"]] == [(1,)] * len(sample("T2.4"))
+    assert {tag for tag, shared in listed.items() if shared} == {"T2.8"}
+    # the samples hold points on both sides of the declaration
     assert {pt["n"] for pt in listed["T2.8"]} == {0}
     assert any(pt["n"] != 0 for pt in sample("T2.8"))
 
